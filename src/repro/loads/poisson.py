@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from repro.loads.base import LoadDistribution
 
@@ -28,7 +28,6 @@ class PoissonLoad(LoadDistribution):
         if nu <= 0.0:
             raise ValueError(f"Poisson rate nu must be > 0, got {nu!r}")
         self._nu = float(nu)
-        self._dist = stats.poisson(self._nu)
 
     @property
     def nu(self) -> float:
@@ -39,19 +38,47 @@ class PoissonLoad(LoadDistribution):
     def mean(self) -> float:
         return self._nu
 
+    # pmf/sf evaluate scipy.stats.poisson's own special-function
+    # formulas, out-of-support conventions included: bit-identical
+    # values without importing scipy.stats, the largest single piece
+    # of a cold `import repro`
+
+    def _pmf(self, ks) -> np.ndarray:
+        """``exp(xlogy(k, nu) - lnGamma(k+1) - nu)`` on integral ``k >= 0``."""
+        k = np.asarray(ks)
+        out = np.zeros(k.shape)
+        out[np.isnan(k)] = np.nan
+        cond = (k >= 0) & (np.floor(k) == k)
+        if cond.any():
+            kk = k[cond]
+            logp = special.xlogy(kk, self._nu) - special.gammaln(kk + 1) - self._nu
+            out[cond] = np.clip(np.exp(logp), 0, 1)
+        return out[()] if out.ndim == 0 else out
+
+    def _sf(self, ks) -> np.ndarray:
+        """``P(K > k) = pdtrc(floor(k), nu)``; 1 below the support."""
+        k = np.asarray(ks)
+        out = np.zeros(k.shape)
+        out[np.isnan(k)] = np.nan
+        out[k < 0] = 1.0
+        cond = (k >= 0) & np.isfinite(k)
+        if cond.any():
+            out[cond] = np.clip(special.pdtrc(np.floor(k[cond]), self._nu), 0, 1)
+        return out[()] if out.ndim == 0 else out
+
     def pmf(self, k: int) -> float:
         self.validate_k(k)
-        return float(self._dist.pmf(k))
+        return float(self._pmf(k))
 
     def sf(self, k: int) -> float:
         self.validate_k(k)
-        return float(self._dist.sf(k))
+        return float(self._sf(k))
 
     def pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        return self._dist.pmf(np.asarray(ks))
+        return self._pmf(ks)
 
     def sf_array(self, ks: np.ndarray) -> np.ndarray:
-        return np.asarray(self._dist.sf(np.asarray(ks)), dtype=float)
+        return np.asarray(self._sf(ks), dtype=float)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:
@@ -72,7 +99,7 @@ class PoissonLoad(LoadDistribution):
         if n <= self.support_min:
             return self._nu
         # P(K >= n - 1) = P(K > n - 2) = sf(n - 2)
-        return self._nu * float(self._dist.sf(n - 2))
+        return self._nu * float(self._sf(n - 2))
 
     def rescaled(self, new_mean: float) -> "PoissonLoad":
         return PoissonLoad(new_mean)

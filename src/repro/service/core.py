@@ -24,11 +24,12 @@ hit/miss counters, and a journal event per fallback.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.caching import BoundedCache
 from repro.emulator.bank import (
     LOADS,
     QUANTITIES,
@@ -51,6 +52,12 @@ UTILITIES: Tuple[str, ...] = ("rigid", "adaptive")
 #: and *refuses* (HTTP 400) outside its validity envelope rather than
 #: extrapolating.
 ENGINE_HINTS: Tuple[str, ...] = ("meanfield",)
+
+#: Bounds on the per-service memo maps: fallback locks are keyed by
+#: (quantity, load, utility, kbar) and mean-field simulators by (load,
+#: kbar), so both sit far above a working set of a few kbar values.
+LOCKS_MAXSIZE = 1024
+MEANFIELD_SIMS_MAXSIZE = 64
 
 
 class QueryError(ReproError):
@@ -112,9 +119,12 @@ class EmulatorService:
         self.config = DEFAULT_CONFIG if config is None else config
         self.bank = bank if bank is not None else default_bank(self.config)
         self.cache = cache
-        self._locks: Dict[str, threading.Lock] = {}
+        # both memo maps are LRU-bounded so a flood of distinct kbar
+        # values cannot grow them without limit; _locks_guard covers
+        # every access to either
+        self._locks = BoundedCache(LOCKS_MAXSIZE)
         self._locks_guard = threading.Lock()
-        self._meanfield_sims: Dict[str, object] = {}
+        self._meanfield_sims = BoundedCache(MEANFIELD_SIMS_MAXSIZE)
 
     # ------------------------------------------------------------------
     # public queries
@@ -368,7 +378,8 @@ class EmulatorService:
 
         key = f"{load}/{population:g}"
         with self._lock_for(f"meanfield/{key}"):
-            sim = self._meanfield_sims.get(key)
+            with self._locks_guard:
+                sim = self._meanfield_sims.get(key)
             if sim is None:
                 config = (
                     dataclasses.replace(self.config, kbar=population)
@@ -378,14 +389,21 @@ class EmulatorService:
                 sim = MeanFieldSimulator(
                     BirthDeathProcess(config.load(load)), Link(population)
                 )
-                self._meanfield_sims[key] = sim
+                with self._locks_guard:
+                    self._meanfield_sims.put(key, sim)
         return sim
 
     def _lock_for(self, key: str) -> threading.Lock:
+        """The per-key lock serialising cold work on ``key``.
+
+        An evicted lock only costs a duplicate (identical) computation
+        should its key come back while the old lock is still held.
+        """
         with self._locks_guard:
             lock = self._locks.get(key)
             if lock is None:
-                lock = self._locks[key] = threading.Lock()
+                lock = threading.Lock()
+                self._locks.put(key, lock)
             return lock
 
     def _exact_via_cache(

@@ -29,7 +29,7 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.errors import OutOfDomainError, ReproError
@@ -43,6 +43,9 @@ MAX_HEADER_BYTES = 64 << 10
 
 #: Exact fallbacks run here so the event loop never blocks on a solver.
 DEFAULT_EXECUTOR_WORKERS = 4
+
+#: How long stop() lets a connection finish its request in flight.
+STOP_GRACE_S = 2.0
 
 
 class _HttpError(Exception):
@@ -92,6 +95,10 @@ class ServiceServer:
             max_workers=executor_workers, thread_name_prefix="svc-exact"
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        #: live connection handlers and their streams, ended by stop()
+        self._connections: Dict[
+            asyncio.Task, Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -105,20 +112,34 @@ class ServiceServer:
         obs.emit("service.start", host=self.host, port=self.port)
         return self
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            await self._end_connections()
             await self._server.wait_closed()
             self._server = None
         self._executor.shutdown(wait=False)
         obs.emit("service.stop", host=self.host, port=self.port)
+
+    async def _end_connections(self) -> None:
+        """Finish every live handler before the loop goes away.
+
+        A handler left pending is destroyed with the loop ("Task was
+        destroyed but it is pending!").  EOF on each reader ends idle
+        keep-alive handlers normally, and lets a busy one answer its
+        request first; one still busy after ``STOP_GRACE_S`` is
+        cancelled.
+        """
+        if not self._connections:
+            return
+        for reader, writer in self._connections.values():
+            # no data may reach a reader after its EOF
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        _, busy = await asyncio.wait(list(self._connections), timeout=STOP_GRACE_S)
+        for task in busy:
+            task.cancel()
+        await asyncio.gather(*busy, return_exceptions=True)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -127,6 +148,9 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._connections[task] = (reader, writer)
         try:
             while True:
                 try:
@@ -157,6 +181,7 @@ class ServiceServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
         finally:
+            self._connections.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -327,7 +352,11 @@ async def serve(
     )
     await server.start()
     try:
-        await server.serve_forever()
+        # started servers accept on their own; waiting here rather than
+        # in asyncio's Server.serve_forever keeps its close() and
+        # wait_closed() (which from Python 3.12 waits for every open
+        # connection) out of the way until stop() has ended them
+        await asyncio.Event().wait()
     except asyncio.CancelledError:
         pass
     finally:
@@ -358,6 +387,7 @@ class BackgroundServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
+        self._stopping: Optional[asyncio.Event] = None
         self._failure: Optional[BaseException] = None
 
     @property
@@ -376,9 +406,9 @@ class BackgroundServer:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            asyncio.run_coroutine_threadsafe(self._shutdown(), loop)
+        loop, stopping = self._loop, self._stopping
+        if loop is not None and stopping is not None and loop.is_running():
+            loop.call_soon_threadsafe(stopping.set)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
 
@@ -388,6 +418,9 @@ class BackgroundServer:
         asyncio.set_event_loop(loop)
 
         async def _serve():
+            # made on this loop: before 3.10 an Event binds the loop
+            # current at construction
+            stopping = self._stopping = asyncio.Event()
             try:
                 await self._server.start()
             except BaseException as exc:  # bind failures must unblock wait()
@@ -395,13 +428,11 @@ class BackgroundServer:
                 raise
             finally:
                 self._ready.set()
-            assert self._server._server is not None
-            await self._server._server.serve_forever()
+            await stopping.wait()
+            await self._shutdown()
 
         try:
             loop.run_until_complete(_serve())
-        except asyncio.CancelledError:
-            pass
         except BaseException:
             if not self._ready.is_set():
                 self._ready.set()
@@ -409,9 +440,18 @@ class BackgroundServer:
             loop.close()
 
     async def _shutdown(self) -> None:
+        """Stop the server, then cancel and await every other task.
+
+        Runs inside the serving task, so the loop keeps turning until
+        each cancelled task has finished — none is left pending when
+        the loop closes.
+        """
         await self._server.stop()
-        for task in asyncio.all_tasks():
+        current = asyncio.current_task()
+        rest = [t for t in asyncio.all_tasks() if t is not current]
+        for task in rest:
             task.cancel()
+        await asyncio.gather(*rest, return_exceptions=True)
 
 
 __all__ = [

@@ -29,7 +29,8 @@ computation:
   reservation ensembles from the *same* seed children, so the
   simulated ``delta(C) = R(C) - B(C)`` is estimated with common random
   numbers (in the paper's basic model the two runs share the census
-  trajectory exactly, leaving only admission-accounting noise).
+  trajectory exactly, leaving only admission-accounting noise — so
+  under a readmitting threshold the census is simulated only once).
 - **Precision-targeted stopping.**  :meth:`EnsembleSimulator.run_until`
   grows the ensemble in batches until a Student-t confidence interval
   on any per-replication statistic reaches a requested half-width.
@@ -42,6 +43,7 @@ scalar runs over the same streams — identical results, metered under
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -327,6 +329,25 @@ class EnsembleSimulator:
             return "scalar_rates"
         if not isinstance(self._admission, (AdmitAll, ThresholdAdmission)):
             return "custom_admission"
+        return None
+
+    def _admitted_cap(self) -> Optional[float]:
+        """``K`` with the admitted count ``M == min(N, K)`` throughout a run.
+
+        ``None`` when ``M`` has dynamics of its own.  Without retries,
+        an infinite threshold admits every flow (``K = inf``), and a
+        readmitting threshold refills every admitted departure from the
+        waiting flows, so ``M`` is pinned at ``min(N, max(0,
+        ceil(threshold)))``.  A non-readmitting threshold lets ``M``
+        drift below both, so it must be tracked event by event.
+        """
+        if self._retry_rate > 0.0:
+            return None
+        thr = float(self._admission.threshold(self._link.capacity))
+        if math.isinf(thr):
+            return math.inf
+        if self._admission.readmit_waiting:
+            return float(max(0, math.ceil(thr)))
         return None
 
     def _default_initial_census(self) -> int:
@@ -724,9 +745,11 @@ class EnsembleSimulator:
         arrivals_win = np.zeros(reps, dtype=np.int64)
         admits_win = np.zeros(reps, dtype=np.int64)
         no_threshold = math.isinf(thr)
-        # under admit-all with no retries every flow is admitted, so
-        # M == N and the admitted side needs no bookkeeping at all
-        track_admitted = (not no_threshold) or retry_rate > 0.0 or readmit
+        # when M is a function of N (admit-all, or a readmitting
+        # threshold, without retries) the admitted side needs no
+        # bookkeeping at all: it is derived once after assembly
+        admitted_cap = self._admitted_cap()
+        track_admitted = admitted_cap is None
         general_births = cleared or (batch_slot is not None)
 
         # era bookkeeping: step-major blocks, one column per active row
@@ -833,7 +856,9 @@ class EnsembleSimulator:
                         )
                     else:
                         batch = 1
-                    if no_threshold:
+                    if no_threshold or not track_admitted:
+                        # every flow admitted, or M derived afterwards
+                        # (then never cleared, so n_admit goes unread)
                         n_admit = batch
                     else:
                         n_admit = np.minimum(
@@ -849,7 +874,9 @@ class EnsembleSimulator:
                     census = census + is_birth
                     admitted = admitted + (is_birth & (admitted < thr))
                 else:
-                    # admit-all without retries keeps M == N throughout
+                    # M is a function of N here (admit-all, or a
+                    # readmitting threshold without retries): only N is
+                    # stepped, M is derived after assembly
                     census = census + is_birth - is_death
 
                 if track_admitted:
@@ -905,18 +932,13 @@ class EnsembleSimulator:
             if track_admitted:
                 admitted_out[era_rows, era_off : era_off + span] = mb.T
         if not track_admitted:
-            admitted_out = census_out.copy()
+            admitted_out = np.minimum(census_out, admitted_cap)
 
         if not cleared:
-            # arrivals are exactly the census increments at birth events
-            # (only clearing discards flows before they enter N), so the
-            # window counters fall out of the assembled trajectories
-            d_n = np.diff(census_out, axis=1)
-            d_m = np.diff(admitted_out, axis=1)
-            births = (d_n > 0) & (times[:, 1:] >= warmup)
-            arrivals_win = (d_n * births).sum(axis=1).astype(np.int64)
-            admits_win = (d_m * births).sum(axis=1).astype(np.int64)
-        if warmup == 0.0:
+            arrivals_win, admits_win = _window_counts(
+                times, census_out, admitted_out, warmup
+            )
+        elif warmup == 0.0:
             arrivals_win = arrivals_win + pop0
             admits_win = admits_win + adm0
 
@@ -941,6 +963,44 @@ class EnsembleSimulator:
             engine="vectorized",
             lost_calls_cleared=cleared,
         )
+
+
+def _window_counts(
+    times: np.ndarray, census: np.ndarray, admitted: np.ndarray, warmup: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """In-window ``(arrivals, admissions)`` read off padded trajectories.
+
+    Arrivals are exactly the census increments at birth events (only
+    clearing discards flows before they enter ``N``, so this does not
+    hold under lost-calls-cleared); admissions on arrival are the
+    admitted count's increments at the same events.  With no warmup
+    the initial census counts as arrivals at ``t = 0``.
+    """
+    d_n = np.diff(census, axis=1)
+    d_m = np.diff(admitted, axis=1)
+    births = (d_n > 0) & (times[:, 1:] >= warmup)
+    arrivals = (d_n * births).sum(axis=1).astype(np.int64)
+    admissions = (d_m * births).sum(axis=1).astype(np.int64)
+    if warmup == 0.0:
+        arrivals = arrivals + census[:, 0].astype(np.int64)
+        admissions = admissions + admitted[:, 0].astype(np.int64)
+    return arrivals, admissions
+
+
+def _capped(result: EnsembleResult, cap: float) -> EnsembleResult:
+    """``result``'s census trajectories under ``M == min(N, cap)``.
+
+    The ensemble a run with that admission would produce from the same
+    streams: the census is admission-blind without retries or
+    clearing, so only ``admitted`` and the admission counts change.
+    """
+    admitted = np.minimum(result.census, cap)
+    arrivals, admissions = _window_counts(
+        result.times, result.census, admitted, result.warmup
+    )
+    return dataclasses.replace(
+        result, admitted=admitted, arrivals=arrivals, admissions=admissions
+    )
 
 
 def _merge_results(parts: Sequence[EnsembleResult]) -> EnsembleResult:
@@ -1032,6 +1092,13 @@ def paired_gap(
     per-replication gap ``R_hat_r - B_hat_r`` carries only the
     admission-accounting difference, with far lower variance than
     independent seeding would give.
+
+    Because the trajectories coincide, the census is simulated once
+    when the reservation's admitted count is a function of the census
+    (a readmitting threshold: ``M = min(N, ceil(k_max))``); its
+    ensemble is derived from the best-effort one.  Any other
+    reservation policy (non-readmitting or custom) gets its own run
+    over the same children.
     """
     be_policy = best_effort if best_effort is not None else AdmitAll()
     res_policy = (
@@ -1048,12 +1115,18 @@ def paired_gap(
         max_events=max_events,
         jobs=jobs,
     )
-    be_run = EnsembleSimulator(process, link, be_policy, block=block)._run(
-        children, horizon, **kwargs
+    be_sim = EnsembleSimulator(process, link, be_policy, block=block)
+    res_sim = EnsembleSimulator(process, link, res_policy, block=block)
+    be_run = be_sim._run(children, horizon, **kwargs)
+    vectorized = (
+        be_sim.vectorization_fallback() is None
+        and res_sim.vectorization_fallback() is None
     )
-    res_run = EnsembleSimulator(process, link, res_policy, block=block)._run(
-        children, horizon, **kwargs
-    )
+    cap = res_sim._admitted_cap() if vectorized else None
+    if cap is not None:
+        res_run = _capped(be_run, cap)
+    else:
+        res_run = res_sim._run(children, horizon, **kwargs)
     be_values, _ = be_run.utility_estimates(utility)
     _, res_values = res_run.utility_estimates(utility)
     return PairedGapResult(

@@ -56,6 +56,36 @@ class TestChiSquareGof:
         assert np.isfinite(stat) and 0.0 <= p <= 1.0
 
 
+    @pytest.mark.parametrize(
+        "load",
+        [PoissonLoad(15.0), GeometricLoad.from_mean(40.0), PoissonLoad(4.0)],
+        ids=["poisson", "geometric", "poisson-small"],
+    )
+    def test_p_value_matches_scipy_chi2(self, load):
+        from scipy import stats
+
+        for seed in range(5):
+            samples = load.sample(np.random.default_rng(seed), 1_500)
+            stat, p = chi_square_gof(load, samples)
+            dof = _pooled_bins(load, samples) - 1
+            assert p == float(stats.chi2.sf(stat, dof))
+
+
+def _pooled_bins(load, samples, min_expected=5.0):
+    """Bins chi_square_gof pools ``samples`` into (its dof + 1)."""
+    hi = int(np.max(samples))
+    expected = len(samples) * np.asarray(
+        load.pmf_array(np.arange(hi + 1, dtype=float)), dtype=float
+    )
+    expected[hi] += len(samples) * load.sf(hi)
+    bins, acc = 0, 0.0
+    for e in expected:
+        acc += e
+        if acc >= min_expected:
+            bins, acc = bins + 1, 0.0
+    return bins
+
+
 class TestHillEstimate:
     def test_pure_pareto_recovery(self):
         # continuous Pareto with survival power alpha = 2 -> z = 3

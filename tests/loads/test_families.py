@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import CalibrationError
@@ -28,6 +29,47 @@ class TestPoissonLoad:
     def test_invalid_nu(self):
         with pytest.raises(ValueError):
             PoissonLoad(0.0)
+
+
+class TestPoissonScipyParity:
+    """PoissonLoad reproduces scipy.stats.poisson bit for bit."""
+
+    @staticmethod
+    def _grids(nu):
+        hi = int(10 * nu)
+        return [
+            np.arange(-3, hi + 1),
+            np.arange(-3, hi + 1, dtype=float),
+            np.linspace(-3.0, 10 * nu, 1001),  # mostly non-integral
+            np.array([np.nan, np.inf, -np.inf, -0.5, 0.5, 2.0]),
+            np.array(3),
+        ]
+
+    @pytest.mark.parametrize("nu", [0.5, 50.0, 1e4])
+    def test_arrays_match(self, nu):
+        from scipy import stats
+
+        load, ref = PoissonLoad(nu), stats.poisson(nu)
+        for ks in self._grids(nu):
+            with np.errstate(invalid="ignore"):  # pmf(inf) is inf - inf
+                got_pmf, want_pmf = load.pmf_array(ks), ref.pmf(ks)
+            assert type(got_pmf) is type(want_pmf)
+            np.testing.assert_array_equal(got_pmf, want_pmf)
+            np.testing.assert_array_equal(
+                load.sf_array(ks), np.asarray(ref.sf(ks), dtype=float)
+            )
+
+    @pytest.mark.parametrize("nu", [0.5, 50.0, 1e4])
+    def test_scalars_match(self, nu):
+        from scipy import stats
+
+        load, ref = PoissonLoad(nu), stats.poisson(nu)
+        for k in range(0, int(10 * nu) + 1, max(1, int(nu) // 20)):
+            assert load.pmf(k) == float(ref.pmf(k))
+            assert load.sf(k) == float(ref.sf(k))
+        for n in range(-3, int(10 * nu) + 1, max(1, int(nu) // 20)):
+            want = nu if n <= 0 else nu * float(ref.sf(n - 2))
+            assert load.mean_tail(n) == want
 
 
 class TestGeometricLoad:

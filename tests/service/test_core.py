@@ -207,14 +207,31 @@ class TestMeanFieldEngine:
         assert reply["values"][0] == pytest.approx(exact, abs=2e-3)
 
     def test_simulator_is_memoised_per_load_and_population(self, service):
+        memo = service._meanfield_sims
         service.batch("delta", "poisson", "adaptive", [100.0], engine="meanfield")
-        first = dict(service._meanfield_sims)
+        key = f"poisson/{DEFAULT_CONFIG.kbar:g}"
+        first = memo.get(key)
+        assert first is not None and len(memo) == 1
         service.batch("delta", "poisson", "rigid", [120.0], engine="meanfield")
-        assert dict(service._meanfield_sims) == first
+        assert memo.get(key) is first and len(memo) == 1
         service.batch(
             "delta", "poisson", "adaptive", [55.0], kbar=50.0, engine="meanfield"
         )
-        assert len(service._meanfield_sims) == len(first) + 1
+        assert len(memo) == 2
+
+    def test_memo_maps_stay_bounded_under_distinct_kbars(self, service):
+        from repro.service.core import LOCKS_MAXSIZE, MEANFIELD_SIMS_MAXSIZE
+
+        for i in range(2000):
+            kbar = 30.0 + 0.01 * i
+            service.batch(
+                "delta", "poisson", "adaptive", [1.1 * kbar], kbar=kbar,
+                engine="meanfield",
+            )
+        assert len(service._meanfield_sims) <= MEANFIELD_SIMS_MAXSIZE
+        assert len(service._locks) <= LOCKS_MAXSIZE
+        # the most recent population is still served from the memo
+        assert service._meanfield_sims.get(f"poisson/{30.0 + 0.01 * 1999:g}") is not None
 
     def test_non_delta_quantities_are_refused(self, service):
         with pytest.raises(QueryError, match="delta"):

@@ -8,7 +8,15 @@ fallback path under parallel load.
 
 from __future__ import annotations
 
+import gc
+import logging
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -22,6 +30,28 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
+
+#: From CPython 3.12.1, asyncio's Server.wait_closed() waits for every
+#: open connection even after close(); this applies that rule on any
+#: interpreter, so the shutdown order is checked whatever runs the tests
+WAIT_CLOSED_3_12 = '''
+import asyncio.base_events
+
+async def wait_closed(self):
+    if self._waiters is None:
+        return
+    waiter = self._loop.create_future()
+    self._waiters.append(waiter)
+    await waiter
+
+asyncio.base_events.Server.wait_closed = wait_closed
+'''
+RUN_REPRO = "import runpy; runpy.run_module('repro', run_name='__main__', alter_sys=True)"
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +231,146 @@ class TestMeanFieldEngineHint:
         with pytest.raises(ServiceClientError) as exc:
             client.point("gamma", "poisson", "adaptive", 110.0, engine="meanfield")
         assert exc.value.status == 400
+
+
+def _idle_connections(address, n=3):
+    """One connection that never sends anything, then ``n`` keep-alive
+    connections left idle after one request.
+
+    The silent one opens first: the server accepts in order, so once
+    the later ones are answered it has been accepted too (a connection
+    still in the accept queue at shutdown is not what is tested).
+    """
+    socks = [socket.create_connection(address, timeout=10.0)]
+    for _ in range(n):
+        sock = socket.create_connection(address, timeout=10.0)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+        socks.append(sock)
+    return socks
+
+
+class TestShutdown:
+    def test_background_exit_leaves_no_pending_task(self, caplog):
+        service = EmulatorService(
+            bank=fit_bank(quantities=("delta",), loads=("poisson",))
+        )
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with BackgroundServer(service) as running:
+                socks = _idle_connections(running.address)
+            assert not running._thread.is_alive()
+            gc.collect()  # a pending task is only reported when collected
+            for sock in socks:
+                sock.close()
+        assert [r.getMessage() for r in caplog.records] == []
+
+    def test_busy_handler_is_cancelled_after_the_grace(self, caplog, monkeypatch):
+        import repro.service.http as http
+
+        monkeypatch.setattr(http, "STOP_GRACE_S", 0.05)
+        service = EmulatorService(
+            bank=fit_bank(quantities=("delta",), loads=("poisson",))
+        )
+        started, release = threading.Event(), threading.Event()
+
+        def stuck(*args, **kwargs):  # an exact query that never ends
+            started.set()
+            release.wait(30.0)
+            return {}
+
+        service.point = stuck
+        sock = None
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                with BackgroundServer(service) as running:
+                    sock = socket.create_connection(running.address, timeout=10.0)
+                    sock.sendall(
+                        b"GET /v1/point?x=100&engine=meanfield HTTP/1.1\r\n"
+                        b"Host: test\r\n\r\n"
+                    )
+                    assert started.wait(10.0)
+                    exit_started = time.monotonic()
+                assert not running._thread.is_alive()
+                assert time.monotonic() - exit_started < 5.0
+                gc.collect()
+        finally:
+            release.set()
+            if sock is not None:
+                sock.close()
+        messages = [r.getMessage() for r in caplog.records]
+        assert not [m for m in messages if "Task was destroyed" in m]
+
+    def test_busy_handler_answers_within_the_grace(self, caplog):
+        service = EmulatorService(
+            bank=fit_bank(quantities=("delta",), loads=("poisson",))
+        )
+        started = threading.Event()
+
+        def slow(*args, **kwargs):
+            started.set()
+            time.sleep(0.5)
+            return {"answered": True}
+
+        service.point = slow
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with BackgroundServer(service) as running:
+                sock = socket.create_connection(running.address, timeout=10.0)
+                sock.sendall(
+                    b"GET /v1/point?x=100&engine=meanfield HTTP/1.1\r\n"
+                    b"Host: test\r\n\r\n"
+                )
+                assert started.wait(10.0)
+                # a pipelined request lands while stop() drains the handler
+                threading.Timer(
+                    0.2, sock.sendall, [b"GET /healthz HTTP/1.1\r\n\r\n"]
+                ).start()
+            reply = sock.recv(4096)
+            sock.close()
+        assert reply.startswith(b"HTTP/1.1 200") and b'"answered": true' in reply
+        assert [r.getMessage() for r in caplog.records] == []
+
+    @pytest.mark.parametrize("wait_closed", ["native", "3.12"])
+    def test_sigint_on_repro_serve_is_clean(self, tmp_path, wait_closed):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(
+            os.environ,
+            PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        )
+        if wait_closed == "native":
+            launch = ["-m", "repro"]
+        else:
+            launch = ["-c", WAIT_CLOSED_3_12 + RUN_REPRO]
+        proc = subprocess.Popen(
+            [sys.executable, *launch, "serve", "--port", str(port),
+             "--no-cache"],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=str(tmp_path),
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            while True:
+                try:
+                    socket.create_connection(("127.0.0.1", port), 1.0).close()
+                    break
+                except OSError:
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline, "server never came up"
+                    time.sleep(0.1)
+            socks = _idle_connections(("127.0.0.1", port))
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=30.0)
+            for sock in socks:
+                sock.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        text = stderr.decode()
+        assert proc.returncode == 0, text
+        assert "Task was destroyed but it is pending!" not in text
+        assert "Traceback" not in text and "Exception in callback" not in text

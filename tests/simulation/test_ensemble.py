@@ -21,7 +21,7 @@ from repro.simulation import (
     paired_gap,
     spawn_children,
 )
-from repro.simulation.ensemble import _merge_results
+from repro.simulation.ensemble import _capped, _merge_results
 from repro.utility import AdaptiveUtility
 
 
@@ -278,6 +278,137 @@ class TestPairedGap:
             reservation=ThresholdAdmission(5),
         )
         assert len(gap.gap) == 4
+
+
+def _separate_pair(reservation, *, seed, warmup, jobs=1, replications=5):
+    """BE and RES ensembles simulated separately from one seed."""
+    process = BirthDeathProcess(PoissonLoad(10.0))
+    children = spawn_children(seed, replications)
+    runs = [
+        EnsembleSimulator(process, Link(12.0), policy)._run(
+            children,
+            30.0,
+            warmup=warmup,
+            initial_census=None,
+            max_events=20_000_000,
+            jobs=jobs,
+        )
+        for policy in (AdmitAll(), reservation)
+    ]
+    return process, runs
+
+
+def _assert_same_ensemble(a, b):
+    for name in ("times", "census", "admitted", "counts", "arrivals", "admissions"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+class TestSharedCensusPass:
+    """paired_gap's single census pass equals two separate runs."""
+
+    POLICIES = {
+        "from_utility": lambda: ThresholdAdmission.from_utility(
+            AdaptiveUtility(), readmit_waiting=True
+        ),
+        "zero": lambda: ThresholdAdmission(0, readmit_waiting=True),
+        "constant": lambda: ThresholdAdmission(8, readmit_waiting=True),
+        "fractional": lambda: ThresholdAdmission(7.5, readmit_waiting=True),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("warmup", [0.0, 6.0])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_derived_reservation_run_equals_simulated(self, policy, warmup, seed):
+        reservation = self.POLICIES[policy]()
+        _, (be, res) = _separate_pair(reservation, seed=seed, warmup=warmup)
+        cap = EnsembleSimulator(
+            BirthDeathProcess(PoissonLoad(10.0)), Link(12.0), reservation
+        )._admitted_cap()
+        _assert_same_ensemble(_capped(be, cap), res)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("warmup", [0.0, 6.0])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_paired_gap_equals_two_runs(self, policy, warmup, jobs):
+        reservation = self.POLICIES[policy]()
+        process, (be, res) = _separate_pair(
+            reservation, seed=23, warmup=warmup, jobs=jobs
+        )
+        utility = AdaptiveUtility()
+        gap = paired_gap(
+            process,
+            Link(12.0),
+            utility,
+            5,
+            30.0,
+            warmup=warmup,
+            seed=23,
+            reservation=reservation,
+            jobs=jobs,
+        )
+        be_values, _ = be.utility_estimates(utility)
+        _, res_values = res.utility_estimates(utility)
+        np.testing.assert_array_equal(gap.best_effort, be_values)
+        np.testing.assert_array_equal(gap.reservation, res_values)
+        np.testing.assert_array_equal(gap.gap, res_values - be_values)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("warmup", [0.0, 6.0])
+    def test_derived_run_equals_per_flow_scalar_reference(self, policy, warmup):
+        # the scalar engine tracks every flow's admission event by
+        # event, so it checks the derived M independently
+        reservation = self.POLICIES[policy]()
+        _, (be, res) = _separate_pair(reservation, seed=29, warmup=warmup)
+        reference = EnsembleSimulator(
+            BirthDeathProcess(PoissonLoad(10.0)), Link(12.0), reservation
+        )._run_scalar(
+            spawn_children(29, 5),
+            30.0,
+            warmup=warmup,
+            initial_census=None,
+            max_events=20_000_000,
+            reason="reference",
+        )
+        _assert_same_ensemble(res, reference)
+
+    @pytest.mark.parametrize(
+        "reservation, runs",
+        [(None, 1), (ThresholdAdmission(8, readmit_waiting=True), 1),
+         (ThresholdAdmission(8), 2)],
+    )
+    def test_replication_counter(self, reservation, runs):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracing import Tracer
+
+        obs.enable(MetricsRegistry(), Tracer())
+        try:
+            paired_gap(
+                BirthDeathProcess(PoissonLoad(10.0)),
+                Link(12.0),
+                AdaptiveUtility(),
+                4,
+                15.0,
+                seed=9,
+                reservation=reservation,
+            )
+            counters = obs.snapshot()["counters"]
+            assert counters["ensemble.replications"] == 4 * runs
+        finally:
+            obs.disable()
+
+    def test_cap_only_where_admitted_follows_census(self):
+        def cap(policy, **kwargs):
+            return EnsembleSimulator(
+                BirthDeathProcess(PoissonLoad(10.0)), Link(12.0), policy, **kwargs
+            )._admitted_cap()
+
+        assert cap(AdmitAll()) == float("inf")
+        assert cap(ThresholdAdmission(7.5, readmit_waiting=True)) == 8.0
+        assert cap(ThresholdAdmission(0, readmit_waiting=True)) == 0.0
+        assert cap(ThresholdAdmission(8)) is None
+        assert cap(ThresholdAdmission(8, readmit_waiting=True), retry_rate=0.5) is None
 
 
 class TestMerge:
