@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.continuum.rigid_algebraic import RigidAlgebraicContinuum
 from repro.errors import ModelError
+from repro.models.engine import CapacityEngine
 
 
 def best_effort_loss_coefficient(z: float, a: float) -> float:
@@ -69,8 +70,11 @@ def gap_ratio_limit(a: float) -> float:
     return a ** (-a / (1.0 - a))
 
 
-class AdaptiveAlgebraicContinuum:
+class AdaptiveAlgebraicContinuum(CapacityEngine):
     """Closed forms for the ramp(a) x Pareto(z) case."""
+
+    LABEL = "adaptive-algebraic"
+    MIN_CAPACITY = 1.0
 
     def __init__(self, z: float, a: float):
         self._rigid = RigidAlgebraicContinuum(z)  # validates z
@@ -133,7 +137,7 @@ class AdaptiveAlgebraicContinuum:
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """``B`` over a capacity grid (closed form)."""
-        caps = self._rigid._grid(capacities)
+        caps = self._grid(capacities)
         kbar = self.mean_load
         return (kbar - self._c_b * caps ** (2.0 - self._z)) / kbar
 
@@ -143,12 +147,12 @@ class AdaptiveAlgebraicContinuum:
 
     def performance_gap_batch(self, capacities) -> np.ndarray:
         """``delta`` over a capacity grid (closed form)."""
-        caps = self._rigid._grid(capacities)
+        caps = self._grid(capacities)
         return (self._c_b - self._c_r) * caps ** (2.0 - self._z) / self.mean_load
 
     def bandwidth_gap_batch(self, capacities) -> np.ndarray:
         """``Delta`` over a capacity grid — exactly linear in ``C``."""
-        return self._rigid._grid(capacities) * (self.gap_ratio() - 1.0)
+        return self._grid(capacities) * (self.gap_ratio() - 1.0)
 
     # --------------------------- welfare ----------------------------
 
@@ -186,12 +190,6 @@ class AdaptiveAlgebraicContinuum:
         return (w / self.mean_load) ** ((z - 1.0) / (z - 2.0))
 
     # --------------------------- guards -----------------------------
-
-    def _check_capacity(self, capacity: float) -> None:
-        if capacity < 1.0:
-            raise ModelError(
-                f"the algebraic closed forms hold for C >= 1, got {capacity!r}"
-            )
 
     def _check_price(self, price: float) -> None:
         if not 0.0 < price <= 1.0:

@@ -23,12 +23,20 @@ import numpy as np
 
 from repro.continuum.rigid_exponential import RigidExponentialContinuum
 from repro.errors import ModelError
-from repro.numerics.batch import invert_monotone_batch
+from repro.models.engine import CapacityEngine
 from repro.numerics.solvers import find_root, invert_monotone
 
 
-class AdaptiveExponentialContinuum:
-    """Closed forms for the ramp(a) x exponential-load case."""
+class AdaptiveExponentialContinuum(CapacityEngine):
+    """Closed forms for the ramp(a) x exponential-load case.
+
+    ``B`` and ``R`` are closed forms; ``Delta`` has none, so it is the
+    inherited inversion.
+    """
+
+    LABEL = "adaptive-exponential"
+    GAP_FLOOR = 1e-13
+    UPPER_LIMIT = 1e12
 
     def __init__(self, a: float, beta: float = 1.0):
         if not 0.0 <= a < 1.0:
@@ -72,8 +80,7 @@ class AdaptiveExponentialContinuum:
 
     def total_best_effort(self, capacity: float) -> float:
         """Closed-form ``V_B(C)`` (verified against quadrature in tests)."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         a, beta = self._a, self._beta
@@ -95,31 +102,11 @@ class AdaptiveExponentialContinuum:
         """Normalised ``B(C)``."""
         return self.total_best_effort(capacity) * self._beta
 
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = R(C) - B(C)``."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(self, capacity: float, *, gap_floor: float = 1e-13) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)`` (closed-form B)."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=1e12,
-            label=f"adaptive-exponential Delta(C={capacity})",
-        )
-        return max(0.0, solution - capacity)
-
     # ------------------------- batch forms --------------------------
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """Normalised ``B`` over a capacity grid (closed form)."""
-        caps = self._rigid._grid(capacities)
+        caps = self._grid(capacities)
         a, beta = self._a, self._beta
         bc = beta * caps
         e1 = np.exp(-bc)
@@ -140,44 +127,6 @@ class AdaptiveExponentialContinuum:
         """Normalised ``R`` over a capacity grid — rigid closed form."""
         return self._rigid.reservation_batch(capacities)
 
-    def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (clipped at zero)."""
-        return np.maximum(
-            0.0,
-            self.reservation_batch(capacities)
-            - self.best_effort_batch(capacities),
-        )
-
-    def bandwidth_gap_batch(
-        self, capacities, *, gap_floor: float = 1e-13
-    ) -> np.ndarray:
-        """``Delta`` over a capacity grid via one vectorised inversion."""
-        caps = self._rigid._grid(capacities)
-        gaps = np.zeros(caps.size)
-        targets = self.reservation_batch(caps)
-        idx = np.flatnonzero(
-            (targets - self.best_effort_batch(caps)) > gap_floor
-        )
-        if idx.size == 0:
-            return gaps
-        sub = caps[idx]
-        result = invert_monotone_batch(
-            self.best_effort_batch,
-            targets[idx],
-            sub,
-            sub + np.maximum(1.0, sub),
-            increasing=True,
-            upper_limit=1e12,
-            label="adaptive-exponential Delta batch",
-        )
-        ok = result.converged & np.isfinite(result.roots)
-        gaps[idx[ok]] = np.maximum(0.0, result.roots[ok] - sub[ok])
-        for j in np.flatnonzero(~ok):
-            gaps[idx[j]] = self.bandwidth_gap(
-                float(sub[j]), gap_floor=gap_floor
-            )
-        return gaps
-
     def bandwidth_gap_limit(self) -> float:
         """``lim_{C->inf} Delta(C) = -ln(1-a)/beta`` (paper Section 3.3)."""
         if self._a == 0.0:
@@ -188,8 +137,7 @@ class AdaptiveExponentialContinuum:
 
     def marginal_best_effort(self, capacity: float) -> float:
         """``V_B'(C) = (e^{-beta C} - e^{-beta C/a}) / (1-a)``."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         e1 = math.exp(-self._beta * capacity)
         if self._a == 0.0:
             # pi' = 1 on (0, 1), so V_B'(C) = P(K > C) = e^{-beta C}

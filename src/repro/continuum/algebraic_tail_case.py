@@ -30,12 +30,21 @@ from __future__ import annotations
 import math
 
 from repro.errors import ModelError
-from repro.numerics.solvers import invert_monotone
+from repro.models.engine import CapacityEngine
 from repro.utility.algebraic_tail import AlgebraicTailUtility
 
 
-class AlgebraicTailAlgebraicContinuum:
-    """``pi(b) = 1 - b^-tau`` (b > 1) under the Pareto(z) census."""
+class AlgebraicTailAlgebraicContinuum(CapacityEngine):
+    """``pi(b) = 1 - b^-tau`` (b > 1) under the Pareto(z) census.
+
+    ``B`` and ``R`` are closed forms; ``Delta`` is the inherited exact
+    inversion.
+    """
+
+    LABEL = "algebraic-tail"
+    MIN_CAPACITY = 1.0
+    GAP_FLOOR = 1e-13
+    UPPER_LIMIT = 1e12
 
     def __init__(self, z: float, tau: float):
         if z <= 2.0:
@@ -119,26 +128,6 @@ class AlgebraicTailAlgebraicContinuum:
         """Normalised ``R(C)``."""
         return self.total_reservation(capacity) / self.mean_load
 
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)`` (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(self, capacity: float, *, gap_floor: float = 1e-13) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)`` exactly."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=1e12,
-            label=f"algebraic-tail Delta(C={capacity})",
-        )
-        return max(0.0, solution - capacity)
-
     # -------------------------- asymptotics ---------------------------
 
     def gap_growth_exponent(self) -> float:
@@ -161,11 +150,3 @@ class AlgebraicTailAlgebraicContinuum:
         if d_lo <= 0.0 or d_hi <= 0.0:
             raise ModelError("gap vanished inside the measurement window")
         return math.log(d_hi / d_lo) / math.log(c_hi / c_lo)
-
-    # ---------------------------- guards ------------------------------
-
-    def _check_capacity(self, capacity: float) -> None:
-        if capacity < 1.0:
-            raise ModelError(
-                f"the algebraic-tail closed forms hold for C >= 1, got {capacity!r}"
-            )

@@ -16,23 +16,17 @@ transcribed or re-derived from the paper.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
 
 from repro import obs
 from repro.errors import ModelError
 from repro.loads.continuum import ContinuumLoad
+from repro.models.engine import CapacityEngine
 from repro.numerics.optimize import maximize_scalar
 from repro.numerics.quadrature import integrate
-from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
-#: Normalised gaps below this are treated as zero by the gap solver.
-GAP_FLOOR = 1e-12
 
-
-class ContinuumModel:
+class ContinuumModel(CapacityEngine):
     """Numeric continuum variable-load model for any (load, utility).
 
     Parameters
@@ -46,7 +40,13 @@ class ContinuumModel:
         fixed-load optimisation (the ramp and rigid utilities know
         ``kmax(C) = C`` exactly; supplying it avoids optimiser noise in
         delicate asymptotic studies).
+
+    Adaptive quadrature adapts its panels to each capacity, so there is
+    no shared vector kernel: the batch forms are the inherited
+    per-point loops.
     """
+
+    LABEL = "continuum"
 
     def __init__(
         self,
@@ -79,8 +79,7 @@ class ContinuumModel:
 
     def k_max(self, capacity: float) -> float:
         """Continuum admission threshold ``argmax_k k pi(C/k)``."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         if self._override is not None:
@@ -174,16 +173,14 @@ class ContinuumModel:
 
     def total_best_effort(self, capacity: float) -> float:
         """``V_B(C)`` by quadrature."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         return self._weighted_utility_integral(capacity, 0.0, math.inf)
 
     def total_reservation(self, capacity: float) -> float:
         """``V_R(C)`` by quadrature plus the capped-overload term."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         kmax = self.k_max(capacity)
@@ -200,58 +197,3 @@ class ContinuumModel:
     def reservation(self, capacity: float) -> float:
         """Normalised ``R(C)``."""
         return self.total_reservation(capacity) / self._kbar
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = R(C) - B(C)`` (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    # ------------------------------------------------------------------
-    # batch evaluation
-    # ------------------------------------------------------------------
-
-    def _scalar_batch(self, fn, capacities) -> np.ndarray:
-        """Per-point evaluation of ``fn`` over a grid, metered as
-        scalar fallbacks — adaptive quadrature adapts its panels to
-        each capacity, so there is no shared vector kernel here."""
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if obs.enabled():
-            obs.counter("batch.fallback_scalar").inc(int(caps.size))
-        return np.array([fn(float(c)) for c in caps])
-
-    def best_effort_batch(self, capacities) -> np.ndarray:
-        """Normalised ``B`` over a capacity grid (per-point quadrature)."""
-        return self._scalar_batch(self.best_effort, capacities)
-
-    def reservation_batch(self, capacities) -> np.ndarray:
-        """Normalised ``R`` over a capacity grid (per-point quadrature)."""
-        return self._scalar_batch(self.reservation, capacities)
-
-    def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (per-point quadrature)."""
-        return self._scalar_batch(self.performance_gap, capacities)
-
-    def bandwidth_gap_batch(self, capacities) -> np.ndarray:
-        """``Delta`` over a capacity grid (per-point inversion)."""
-        return self._scalar_batch(self.bandwidth_gap, capacities)
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)``."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"continuum bandwidth gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)

@@ -22,10 +22,14 @@ import math
 import numpy as np
 
 from repro.errors import ModelError
+from repro.models.engine import CapacityEngine
 
 
-class RigidAlgebraicContinuum:
+class RigidAlgebraicContinuum(CapacityEngine):
     """All Section 3.2/4 closed forms for the rigid x algebraic case."""
+
+    LABEL = "rigid-algebraic"
+    MIN_CAPACITY = 1.0
 
     def __init__(self, z: float):
         if z <= 2.0:
@@ -79,15 +83,6 @@ class RigidAlgebraicContinuum:
         return capacity * (self.gap_ratio() - 1.0)
 
     # ------------------------- batch forms --------------------------
-
-    def _grid(self, capacities) -> np.ndarray:
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 1.0:
-            raise ModelError(
-                f"the algebraic closed forms hold for C >= 1, got "
-                f"{float(np.min(caps))!r}"
-            )
-        return caps
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """``B`` over a capacity grid (closed form)."""
@@ -153,12 +148,6 @@ class RigidAlgebraicContinuum:
         return math.e - 1.0
 
     # --------------------------- guards -----------------------------
-
-    def _check_capacity(self, capacity: float) -> None:
-        if capacity < 1.0:
-            raise ModelError(
-                f"the algebraic closed forms hold for C >= 1, got {capacity!r}"
-            )
 
     def _check_price(self, price: float) -> None:
         # C_B >= 1 requires p <= z-1; C_R >= 1 requires p <= 1

@@ -28,6 +28,7 @@ import numpy as np
 from scipy import special
 
 from repro.errors import ModelError
+from repro.models.engine import CapacityEngine
 from repro.numerics.batch import find_roots
 from repro.numerics.solvers import find_root
 
@@ -36,8 +37,11 @@ from repro.numerics.solvers import find_root
 PRICE_CEILING = 1.0 / math.e
 
 
-class RigidExponentialContinuum:
+class RigidExponentialContinuum(CapacityEngine):
     """All Section 3.2/4 closed forms for the rigid x exponential case."""
+
+    LABEL = "rigid-exponential"
+    UPPER_LIMIT = 1e12
 
     def __init__(self, beta: float = 1.0):
         if beta <= 0.0:
@@ -98,19 +102,11 @@ class RigidExponentialContinuum:
             0.0,
             max(1.0, capacity),
             expand=True,
-            upper_limit=1e12,
+            upper_limit=self.UPPER_LIMIT,
             label=f"rigid-exponential Delta(C={capacity})",
         )
 
     # ------------------------- batch forms --------------------------
-
-    def _grid(self, capacities) -> np.ndarray:
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 0.0:
-            raise ValueError(
-                f"capacity must be >= 0, got {float(np.min(caps))!r}"
-            )
-        return caps
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """Normalised ``B`` over a capacity grid (closed form)."""
@@ -140,7 +136,7 @@ class RigidExponentialContinuum:
             np.maximum(1.0, caps),
             args=(caps,),
             expand=True,
-            upper_limit=1e12,
+            upper_limit=self.UPPER_LIMIT,
             label="rigid-exponential Delta batch",
         )
         return result.roots
@@ -234,11 +230,6 @@ class RigidExponentialContinuum:
         return 1.0 + math.log(log_inv) / log_inv
 
     # --------------------------- guards -----------------------------
-
-    @staticmethod
-    def _check_capacity(capacity: float) -> None:
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
 
     @staticmethod
     def _check_price(price: float) -> None:

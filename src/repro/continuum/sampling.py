@@ -20,17 +20,19 @@ from __future__ import annotations
 import math
 
 from repro.loads.continuum import ContinuumLoad
+from repro.models.engine import CapacityEngine
 from repro.numerics.quadrature import integrate
-from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
 
-class ContinuumSamplingModel:
+class ContinuumSamplingModel(CapacityEngine):
     """Worst-of-S-samples model over a continuum census.
 
     ``k_max(C) = C`` is assumed (true for the rigid and ramp utilities
     this model exists to study); pass ``k_max_override`` otherwise.
     """
+
+    LABEL = "continuum sampling"
 
     def __init__(
         self,
@@ -121,16 +123,14 @@ class ContinuumSamplingModel:
 
     def best_effort(self, capacity: float) -> float:
         """``B_S(C)`` — per-flow expected utility at the worst sample."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         return self._weighted_integral(capacity, self._load.support_min, math.inf)
 
     def reservation(self, capacity: float) -> float:
         """``R_S(C)`` — admit on first sample, cap subsequent censuses."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         kmax = self.k_max(capacity)
@@ -141,23 +141,3 @@ class ContinuumSamplingModel:
         at_cap = f_cap - f_cap**self._samples
         over = kmax * self._load.sf(kmax) / self._kbar
         return below + (at_cap + over) * self._utility.value(capacity / kmax)
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta_S(C)`` (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(self, capacity: float, *, gap_floor: float = 1e-12) -> float:
-        """``Delta_S(C)`` solving ``B_S(C + Delta) = R_S(C)``."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=1e9,
-            label=f"continuum sampling gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-
 from repro.loads.base import LoadDistribution
+from repro.models.engine import CapacityEngine
 from repro.models.sampling import SamplingModel
-from repro.models.variable_load import GAP_FLOOR, VariableLoadModel
-from repro.numerics.solvers import invert_monotone
+from repro.models.variable_load import VariableLoadModel
 from repro.utility.base import UtilityFunction
 
 
-class RiskAverseModel:
+class RiskAverseModel(CapacityEngine):
     """Blend of mean-performance and worst-of-S-samples scoring.
 
     Parameters
@@ -39,6 +38,8 @@ class RiskAverseModel:
         Blend weight in ``[0, 1]``; 0 = risk-neutral (basic model),
         1 = pure worst-of-S (sampling model).
     """
+
+    LABEL = "risk-averse"
 
     def __init__(
         self,
@@ -84,29 +85,3 @@ class RiskAverseModel:
         return (1.0 - w) * self._mean_model.reservation(capacity) + (
             w * self._worst_model.reservation(capacity)
         )
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)`` under risk-adjusted scoring (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta(C)`` under risk-adjusted scoring."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"risk-averse bandwidth gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)

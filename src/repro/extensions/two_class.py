@@ -28,12 +28,11 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.loads.base import LoadDistribution
-from repro.models.variable_load import GAP_FLOOR
-from repro.numerics.solvers import invert_monotone
+from repro.models.engine import CapacityEngine
 from repro.utility.base import UtilityFunction
 
 
-class TwoClassModel:
+class TwoClassModel(CapacityEngine):
     """Exact best-effort vs reservations for two independent classes.
 
     Parameters
@@ -49,7 +48,14 @@ class TwoClassModel:
         first moment).  Heavy-tailed classes inflate the grid; this
         model targets light/moderate tails — use
         :class:`~repro.network.NetworkComparison` for extreme ones.
+
+    ``delta`` is reported unclipped: it is nonnegative by construction
+    (the reservation side falls back to the equal-share allocation in
+    any census state where the greedy packing would lose to it).
     """
+
+    LABEL = "two-class"
+    CLIP_GAP = False
 
     def __init__(
         self,
@@ -149,8 +155,7 @@ class TwoClassModel:
 
     def best_effort(self, capacity: float) -> float:
         """Normalised best-effort utility (per mean offered flow)."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         states = self._state_utilities_best_effort(capacity)
@@ -158,8 +163,7 @@ class TwoClassModel:
 
     def reservation(self, capacity: float) -> float:
         """Normalised reservation utility."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         # The greedy density-ordered packing never overbooks, so in
@@ -177,34 +181,6 @@ class TwoClassModel:
             self._state_utilities_best_effort(capacity),
         )
         return float(np.sum(self._weights * states)) / self._mean_total
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C)`` across both classes (nonnegative: the
-        reservation side falls back to the equal-share allocation in
-        any census state where the greedy packing would lose to it)."""
-        return self.reservation(capacity) - self.best_effort(capacity)
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)``."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"two-class bandwidth gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)
 
     def per_class_best_effort(self, capacity: float) -> Tuple[float, float]:
         """Per-class normalised best-effort utilities (class means)."""

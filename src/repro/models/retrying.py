@@ -32,17 +32,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro import obs
 from repro.caching import BoundedCache
 from repro.errors import ModelError
 from repro.loads.base import LoadDistribution
-from repro.models.variable_load import (
-    GAP_FLOOR,
-    VariableLoadModel,
-    solve_bandwidth_gaps,
-)
+from repro.models.engine import CapacityEngine
+from repro.models.variable_load import VariableLoadModel
 from repro.numerics.series import fixed_point
-from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
 #: Retry penalty used throughout the paper's Section 5.2 numbers.
@@ -53,7 +48,7 @@ ALPHA_PAPER = 0.1
 THETA_CEILING = 0.9
 
 
-class RetryingModel:
+class RetryingModel(CapacityEngine):
     """Reservation model with blocked flows retrying (paper Section 5.2).
 
     Parameters
@@ -65,7 +60,16 @@ class RetryingModel:
         Application utility ``pi(b)``.
     alpha:
         Utility penalty per retry (the paper uses 0.1).
+
+    ``delta`` is not clipped: at very low capacity heavy blocking makes
+    the retry penalties swamp the admission benefit and it goes
+    negative.  ``R~`` has no shared series across capacities (each
+    couples to its own inflated load), so ``reservation_batch`` is the
+    inherited per-point loop.
     """
+
+    LABEL = "retrying"
+    CLIP_GAP = False
 
     def __init__(
         self,
@@ -173,8 +177,7 @@ class RetryingModel:
 
     def reservation(self, capacity: float) -> float:
         """``R~(C) = (L~/L) R_{L~}(C) - alpha D`` (paper Section 5.2)."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         mean = self.offered_mean(capacity)
@@ -183,100 +186,6 @@ class RetryingModel:
         retries = ratio - 1.0
         return ratio * inflated.reservation(capacity) - self._alpha * retries
 
-    def performance_gap(self, capacity: float) -> float:
-        """``delta~(C) = R~(C) - B(C)``.
-
-        Unlike the basic model this can go negative at very low
-        capacity (heavy blocking makes retry penalties swamp the
-        admission benefit), so it is *not* clipped.
-        """
-        return self.reservation(capacity) - self.best_effort(capacity)
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta~(C)`` solving ``B(C + Delta) = R~(C)``.
-
-        Returns 0.0 when retries make reservations no better than
-        best effort at this capacity.
-        """
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"retrying bandwidth gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)
-
-    # ------------------------------------------------------------------
-    # batch evaluation (whole-grid sweeps)
-    # ------------------------------------------------------------------
-
     def best_effort_batch(self, capacities) -> np.ndarray:
         """``B`` over a capacity grid — the base model's batch curve."""
         return self._base.best_effort_batch(capacities)
-
-    def reservation_batch(self, capacities) -> np.ndarray:
-        """``R~`` over a capacity grid.
-
-        The retry fixed point couples each capacity to its *own*
-        inflated load distribution, so there is no shared series to
-        vectorise; each point runs the scalar solve (counted as
-        ``batch.fallback_scalar``), with results landing in the
-        fixed-point cache as usual.
-        """
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if obs.enabled():
-            obs.counter("batch.fallback_scalar").inc(int(caps.size))
-        return np.array([self.reservation(float(c)) for c in caps])
-
-    def bandwidth_gap_batch(
-        self,
-        capacities,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> np.ndarray:
-        """``Delta~`` over a capacity grid via one vectorised inversion."""
-        caps = np.asarray(capacities, dtype=float).ravel()
-        return solve_bandwidth_gaps(
-            self.best_effort_batch,
-            caps,
-            self.reservation_batch(caps),
-            self.best_effort_batch(caps),
-            gap_floor=gap_floor,
-            upper_limit=upper_limit,
-            scalar_fallback=lambda c: self.bandwidth_gap(
-                c, gap_floor=gap_floor, upper_limit=upper_limit
-            ),
-            label="retrying bandwidth gap batch",
-        )
-
-    def sweep(self, capacities, *, include_gaps: bool = True) -> dict:
-        """Figure-series sweep mirroring :meth:`VariableLoadModel.sweep`.
-
-        Best-effort and the bandwidth-gap inversion run through the
-        batch kernels; the reservation fixed point stays per-point.
-        """
-        caps = np.asarray(list(capacities), dtype=float)
-        b = self.best_effort_batch(caps)
-        r = self.reservation_batch(caps)
-        out = {
-            "capacity": caps,
-            "best_effort": b,
-            "reservation": r,
-            "performance_gap": r - b,
-        }
-        if include_gaps:
-            out["bandwidth_gap"] = self.bandwidth_gap_batch(caps)
-        return out

@@ -34,17 +34,13 @@ import numpy as np
 
 from repro.loads.base import LoadDistribution
 from repro.loads.weighted import SizeBiasedLoad
-from repro.models.variable_load import (
-    GAP_FLOOR,
-    VariableLoadModel,
-    solve_bandwidth_gaps,
-)
+from repro.models.engine import CapacityEngine
+from repro.models.variable_load import VariableLoadModel
 from repro.numerics.batch import share_weighted_sums
-from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
 
 
-class SamplingModel:
+class SamplingModel(CapacityEngine):
     """Worst-of-``S``-samples performance model (paper Section 5.1).
 
     Parameters
@@ -58,6 +54,8 @@ class SamplingModel:
     tol:
         Absolute truncation tolerance for the best-effort sum.
     """
+
+    LABEL = "sampling"
 
     def __init__(
         self,
@@ -167,8 +165,7 @@ class SamplingModel:
         Already a per-flow average (the size-biased census *is* the
         tagged-flow view), so no ``k_bar`` normalisation is applied.
         """
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         n = self._truncation_point(capacity)
@@ -180,8 +177,7 @@ class SamplingModel:
 
     def reservation(self, capacity: float) -> float:
         """``R_S(C)``: admit on first sample, cap subsequent censuses."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         kmax = self.k_max(capacity)
@@ -204,43 +200,9 @@ class SamplingModel:
         over = kmax * self._load.sf(kmax) / self._kbar
         return inner + (at_cap + over) * self._utility.value(capacity / kmax)
 
-    def performance_gap(self, capacity: float) -> float:
-        """``delta_S(C) = R_S(C) - B_S(C)`` (clipped at zero)."""
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta_S(C)`` solving ``B_S(C + Delta) = R_S(C)``."""
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"sampling bandwidth gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)
-
     # ------------------------------------------------------------------
     # batch evaluation (whole-grid sweeps)
     # ------------------------------------------------------------------
-
-    def _validated_grid(self, capacities) -> np.ndarray:
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 0.0:
-            raise ValueError(
-                f"capacity must be >= 0, got {float(np.min(caps))!r}"
-            )
-        return caps
 
     def best_effort_batch(self, capacities) -> np.ndarray:
         """``B_S`` over a capacity grid via the shared series kernel.
@@ -249,7 +211,7 @@ class SamplingModel:
         truncation group runs as one chunked matrix product with the
         same terms the scalar path sums.
         """
-        caps = self._validated_grid(capacities)
+        caps = self._grid(capacities)
         totals = np.zeros(caps.size)
         live = np.flatnonzero(caps > 0.0)
         if live.size == 0:
@@ -268,7 +230,7 @@ class SamplingModel:
 
     def reservation_batch(self, capacities) -> np.ndarray:
         """``R_S`` over a capacity grid: batch ``k_max`` + one masked sum."""
-        caps = self._validated_grid(capacities)
+        caps = self._grid(capacities)
         totals = np.zeros(caps.size)
         pos = np.flatnonzero(caps > 0.0)
         if pos.size == 0:
@@ -303,47 +265,3 @@ class SamplingModel:
         pi_cap = np.asarray(self._utility(sub_caps / sub_kmax), dtype=float)
         totals[idx] = inner + (at_cap + over) * pi_cap
         return totals
-
-    def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta_S`` over a capacity grid (clipped at zero)."""
-        caps = self._validated_grid(capacities)
-        return np.maximum(
-            0.0, self.reservation_batch(caps) - self.best_effort_batch(caps)
-        )
-
-    def bandwidth_gap_batch(
-        self,
-        capacities,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> np.ndarray:
-        """``Delta_S`` over a capacity grid via one vectorised inversion."""
-        caps = self._validated_grid(capacities)
-        return solve_bandwidth_gaps(
-            self.best_effort_batch,
-            caps,
-            self.reservation_batch(caps),
-            self.best_effort_batch(caps),
-            gap_floor=gap_floor,
-            upper_limit=upper_limit,
-            scalar_fallback=lambda c: self.bandwidth_gap(
-                c, gap_floor=gap_floor, upper_limit=upper_limit
-            ),
-            label="sampling bandwidth gap batch",
-        )
-
-    def sweep(self, capacities, *, include_gaps: bool = True) -> dict:
-        """Figure-series sweep mirroring :meth:`VariableLoadModel.sweep`."""
-        caps = np.asarray(list(capacities), dtype=float)
-        b = self.best_effort_batch(caps)
-        r = self.reservation_batch(caps)
-        out = {
-            "capacity": caps,
-            "best_effort": b,
-            "reservation": r,
-            "performance_gap": np.maximum(0.0, r - b),
-        }
-        if include_gaps:
-            out["bandwidth_gap"] = self.bandwidth_gap_batch(caps)
-        return out

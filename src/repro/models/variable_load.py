@@ -39,9 +39,10 @@ from repro import obs
 from repro.caching import BoundedCache
 from repro.errors import ConvergenceError
 from repro.loads.base import LoadDistribution
+from repro.models.engine import CapacityEngine
 from repro.models.fixed_load import FixedLoadModel
 from repro.numerics import series
-from repro.numerics.batch import invert_monotone_batch, share_weighted_sums
+from repro.numerics.batch import share_weighted_sums
 from repro.numerics.quadrature import integrate
 from repro.numerics.solvers import invert_monotone
 from repro.utility.base import UtilityFunction
@@ -51,11 +52,6 @@ DEFAULT_TOL = 1e-9
 
 #: Largest array length brute-force summation will allocate.
 BRUTE_FORCE_CAP = 1 << 22
-
-#: Normalised performance gaps below this are treated as exactly zero
-#: when solving for the bandwidth gap (they are below the numerical
-#: noise floor of the truncated sums).
-GAP_FLOOR = 1e-12
 
 #: Evaluation modes chosen by the series planner (:meth:`_plan_batch`):
 #: full dense summation up to a level, dense head + shared polynomial
@@ -103,54 +99,7 @@ def _capacity_ceiling(predicate: Callable[[float], bool], b_hi: float) -> float:
     return lo
 
 
-def solve_bandwidth_gaps(
-    best_effort_batch,
-    capacities: np.ndarray,
-    targets: np.ndarray,
-    base_values: np.ndarray,
-    *,
-    gap_floor: float = GAP_FLOOR,
-    upper_limit: float = 1e9,
-    scalar_fallback=None,
-    label: str = "bandwidth gap batch",
-) -> np.ndarray:
-    """Solve ``B(C + Delta) = target`` over a grid in one vector call.
-
-    Shared by the variable-load, retrying and sampling models: each
-    supplies its own vectorised best-effort curve and its own targets.
-    Elements whose gap is below ``gap_floor`` return exactly 0.0 (the
-    scalar contract); elements the batch solver flags as unconverged
-    are re-solved through ``scalar_fallback(capacity)`` and counted as
-    ``batch.fallback_scalar``.
-    """
-    caps = np.asarray(capacities, dtype=float).ravel()
-    gaps = np.zeros(caps.size)
-    idx = np.flatnonzero((targets - base_values) > gap_floor)
-    if idx.size == 0:
-        return gaps
-    sub = caps[idx]
-    result = invert_monotone_batch(
-        best_effort_batch,
-        targets[idx],
-        sub,
-        sub + np.maximum(1.0, sub),
-        increasing=True,
-        upper_limit=upper_limit,
-        label=label,
-    )
-    ok = result.converged & np.isfinite(result.roots)
-    gaps[idx[ok]] = np.maximum(0.0, result.roots[ok] - sub[ok])
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        if obs.enabled():
-            obs.counter("batch.fallback_scalar").inc(int(bad.size))
-        if scalar_fallback is not None:
-            for j in bad:
-                gaps[idx[j]] = scalar_fallback(float(sub[j]))
-    return gaps
-
-
-class VariableLoadModel:
+class VariableLoadModel(CapacityEngine):
     """Compare architectures under a distribution of offered loads.
 
     Parameters
@@ -168,6 +117,9 @@ class VariableLoadModel:
     k_max_override:
         Optional ``capacity -> threshold`` replacing the ``k_max``
         optimisation (required for elastic utilities, footnote 9).
+
+    ``delta``, ``Delta`` and ``sweep`` come from
+    :class:`~repro.models.engine.CapacityEngine`.
     """
 
     def __init__(
@@ -461,8 +413,7 @@ class VariableLoadModel:
 
     def total_best_effort(self, capacity: float) -> float:
         """Unnormalised ``V_B(C) = sum_k P(k) k pi(C/k)``."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         cached = self._b_cache.get(capacity)
@@ -496,8 +447,7 @@ class VariableLoadModel:
 
     def total_reservation(self, capacity: float) -> float:
         """Unnormalised ``V_R(C)`` with admission threshold ``k_max(C)``."""
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if capacity == 0.0:
             return 0.0
         cached = self._r_cache.get(capacity)
@@ -530,8 +480,7 @@ class VariableLoadModel:
         sensitivity can be quantified — by construction it is maximised
         at ``threshold = k_max(C)``.
         """
-        if capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
+        self._check_capacity(capacity)
         if threshold < 0 or threshold != int(threshold):
             raise ValueError(f"threshold must be a nonneg integer, got {threshold!r}")
         if capacity == 0.0 or threshold == 0:
@@ -555,14 +504,6 @@ class VariableLoadModel:
     # batch evaluation (whole-grid sweeps)
     # ------------------------------------------------------------------
 
-    def _validated_grid(self, capacities) -> np.ndarray:
-        caps = np.asarray(capacities, dtype=float).ravel()
-        if caps.size and float(np.min(caps)) < 0.0:
-            raise ValueError(
-                f"capacity must be >= 0, got {float(np.min(caps))!r}"
-            )
-        return caps
-
     @obs.timed("model.total_best_effort_batch")
     def total_best_effort_batch(self, capacities, *, cache: bool = True) -> np.ndarray:
         """``V_B`` over a capacity grid in a handful of numpy calls.
@@ -585,7 +526,7 @@ class VariableLoadModel:
         reusable entries; the per-point Python cache traffic is also a
         measurable slice of a solve's wall time.
         """
-        caps = self._validated_grid(capacities)
+        caps = self._grid(capacities)
         totals = np.zeros(caps.size)
         if cache:
             todo = []
@@ -629,7 +570,7 @@ class VariableLoadModel:
     @obs.timed("model.total_reservation_batch")
     def total_reservation_batch(self, capacities) -> np.ndarray:
         """``V_R`` over a capacity grid: batch ``k_max`` + one masked sum."""
-        caps = self._validated_grid(capacities)
+        caps = self._grid(capacities)
         totals = np.zeros(caps.size)
         todo = []
         for i, c in enumerate(caps):
@@ -680,35 +621,9 @@ class VariableLoadModel:
         """Normalised ``R`` over a capacity grid."""
         return self.total_reservation_batch(capacities) / self._kbar
 
-    def performance_gap_batch(self, capacities) -> np.ndarray:
-        """``delta`` over a capacity grid (clipped at zero)."""
-        caps = self._validated_grid(capacities)
-        return np.maximum(
-            0.0, self.reservation_batch(caps) - self.best_effort_batch(caps)
-        )
-
-    def bandwidth_gap_batch(
-        self,
-        capacities,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> np.ndarray:
-        """``Delta`` over a capacity grid via one vectorised inversion."""
-        caps = self._validated_grid(capacities)
-        return solve_bandwidth_gaps(
-            lambda probes: self.total_best_effort_batch(probes, cache=False)
-            / self._kbar,
-            caps,
-            self.reservation_batch(caps),
-            self.best_effort_batch(caps),
-            gap_floor=gap_floor,
-            upper_limit=upper_limit,
-            scalar_fallback=lambda c: self.bandwidth_gap(
-                c, gap_floor=gap_floor, upper_limit=upper_limit
-            ),
-            label="bandwidth gap batch",
-        )
+    def _gap_probe(self, probes: np.ndarray) -> np.ndarray:
+        """``B`` at the batch inversion's probes, with ``cache=False``."""
+        return self.total_best_effort_batch(probes, cache=False) / self._kbar
 
     # ------------------------------------------------------------------
     # the paper's reported quantities
@@ -721,14 +636,6 @@ class VariableLoadModel:
     def reservation(self, capacity: float) -> float:
         """Normalised reservation utility ``R(C) = V_R(C)/k_bar``."""
         return self.total_reservation(capacity) / self._kbar
-
-    def performance_gap(self, capacity: float) -> float:
-        """``delta(C) = R(C) - B(C)`` (clipped at zero).
-
-        Strictly positive in all the paper's cases; clipping only
-        absorbs truncation noise when both sides are ~1.
-        """
-        return max(0.0, self.reservation(capacity) - self.best_effort(capacity))
 
     def overload_probability(self, capacity: float) -> float:
         """Probability the offered load exceeds the admission threshold."""
@@ -749,34 +656,6 @@ class VariableLoadModel:
         # sum_{k>kmax} P(k) k = mean_tail(kmax+1); sum_{k>kmax} P(k) = sf(kmax)
         blocked = self._load.mean_tail(kmax + 1) - kmax * self._load.sf(kmax)
         return max(0.0, blocked) / self._kbar
-
-    def bandwidth_gap(
-        self,
-        capacity: float,
-        *,
-        gap_floor: float = GAP_FLOOR,
-        upper_limit: float = 1e9,
-    ) -> float:
-        """``Delta(C)`` solving ``B(C + Delta) = R(C)``.
-
-        Gaps whose normalised performance difference is below
-        ``gap_floor`` return exactly 0.0 — they are beneath the noise
-        floor of the truncated sums (and the paper describes them as
-        vanishing superexponentially in those regimes).
-        """
-        target = self.reservation(capacity)
-        if target - self.best_effort(capacity) <= gap_floor:
-            return 0.0
-        solution = invert_monotone(
-            self.best_effort,
-            target,
-            capacity,
-            capacity + max(1.0, capacity),
-            increasing=True,
-            upper_limit=upper_limit,
-            label=f"bandwidth gap at C={capacity}",
-        )
-        return max(0.0, solution - capacity)
 
     def capacity_for_best_effort(
         self, target: float, *, upper_limit: float = 1e9
@@ -839,40 +718,3 @@ class VariableLoadModel:
         return (self.total_reservation(capacity + h) - self.total_reservation(lo)) / (
             capacity + h - lo
         )
-
-    # ------------------------------------------------------------------
-    # sweeps
-    # ------------------------------------------------------------------
-
-    def sweep(
-        self,
-        capacities,
-        *,
-        include_gaps: bool = True,
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> dict:
-        """Evaluate the figure-panel series over a capacity grid.
-
-        Returns a dict of numpy arrays keyed ``capacity``, ``best_effort``,
-        ``reservation``, ``performance_gap`` and (optionally)
-        ``bandwidth_gap`` — one point per requested capacity.  The whole
-        grid is computed through the batch entry points (one vectorised
-        pass per series); ``progress`` callbacks fire once per point
-        after the corresponding series values exist.
-        """
-        caps = np.asarray(list(capacities), dtype=float)
-        n = len(caps)
-        b = self.best_effort_batch(caps)
-        r = self.reservation_batch(caps)
-        out = {
-            "capacity": caps,
-            "best_effort": b,
-            "reservation": r,
-            "performance_gap": np.maximum(0.0, r - b),
-        }
-        if include_gaps:
-            out["bandwidth_gap"] = self.bandwidth_gap_batch(caps)
-        if progress is not None:
-            for i in range(n):
-                progress(i + 1, n)
-        return out

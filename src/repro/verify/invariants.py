@@ -55,8 +55,10 @@ from repro.models import (
 from repro.utility import PiecewiseLinearUtility, RigidUtility
 from repro.verify import oracles
 from repro.verify.oracles import (
+    PAPER_DOMAIN,
     batch_vs_scalar,
     paper_models,
+    root_level_residual,
     verification_capacities,
     worst_over_domain,
 )
@@ -87,6 +89,28 @@ def _models(config: PaperConfig) -> Tuple[Tuple[str, VariableLoadModel], ...]:
 @lru_cache(maxsize=4)
 def _grid(config: PaperConfig) -> Tuple[float, ...]:
     return tuple(verification_capacities(config))
+
+
+def _fresh_domain_worst(config, per_factory, *, utility=None) -> CheckResult:
+    """Evaluate ``per_factory(make) -> residual`` across the domain.
+
+    ``make()`` builds a fresh model on every call, so a check can run
+    two paths without one reading the other's per-capacity caches.
+    ``utility`` restricts the domain to one utility name.
+    """
+    residual, where = worst_over_domain(
+        (
+            f"{load}/{name}",
+            per_factory(
+                lambda _l=load, _u=name: VariableLoadModel(
+                    config.load(_l), config.utility(_u)
+                )
+            ),
+        )
+        for load, name in PAPER_DOMAIN
+        if utility in (None, name)
+    )
+    return CheckResult(residual, f"worst case {where}")
 
 
 def _domain_worst(config, per_model) -> CheckResult:
@@ -476,9 +500,8 @@ def _parity_invariant(inv_id: str, method: str, description: str):
     )
     def _check(config: PaperConfig, _method=method) -> CheckResult:
         grid = _grid(config)
-        return _domain_worst(
-            config,
-            lambda label, m: batch_vs_scalar(m, _method, grid, TIGHT),
+        return _fresh_domain_worst(
+            config, lambda make: batch_vs_scalar(make, _method, grid, TIGHT)
         )
 
     return _check
@@ -505,24 +528,12 @@ _parity_invariant(
 def _p4(config: PaperConfig) -> CheckResult:
     # adaptive (smooth) utilities only: rigid B(C) is a step function
     # of capacity, so the implicit equation has no exact root to hit
-    grid = np.asarray(_grid(config))
-    cases = []
-    for load_name, utility_name in (
-        ("poisson", "adaptive"),
-        ("exponential", "adaptive"),
-        ("algebraic", "adaptive"),
-    ):
-        model = VariableLoadModel(config.load(load_name), config.utility(utility_name))
-        gaps = model.bandwidth_gap_batch(grid)
-        achieved = np.array(
-            [model.best_effort(c + d) for c, d in zip(grid, gaps)]
-        )
-        targets = np.array([model.reservation(c) for c in grid])
-        cases.append(
-            (f"{load_name}/{utility_name}", GOLDEN.residual(achieved, targets))
-        )
-    residual, where = worst_over_domain(cases)
-    return CheckResult(residual, f"worst case {where}")
+    grid = _grid(config)
+    return _fresh_domain_worst(
+        config,
+        lambda make: root_level_residual(make, grid, GOLDEN),
+        utility="adaptive",
+    )
 
 
 @REGISTRY.invariant(
@@ -536,12 +547,13 @@ def _p5(config: PaperConfig) -> CheckResult:
     grid = _grid(config)
     cases = []
     for load_name, utility_name in (("poisson", "adaptive"), ("algebraic", "rigid")):
-        model = SamplingModel(
-            config.load(load_name), config.utility(utility_name), config.samples
-        )
+
+        def make(_l=load_name, _u=utility_name):
+            return SamplingModel(config.load(_l), config.utility(_u), config.samples)
+
         residual = max(
-            batch_vs_scalar(model, "best_effort", grid, TIGHT),
-            batch_vs_scalar(model, "reservation", grid, TIGHT),
+            batch_vs_scalar(make, "best_effort", grid, TIGHT),
+            batch_vs_scalar(make, "reservation", grid, TIGHT),
         )
         cases.append((f"{load_name}/{utility_name}", residual))
     residual, where = worst_over_domain(cases)
@@ -550,18 +562,23 @@ def _p5(config: PaperConfig) -> CheckResult:
 
 @REGISTRY.invariant(
     "P6",
-    "retrying model batch kernels agree with the scalar path",
-    paper_ref="S5.2",
+    "retrying bandwidth_gap_batch solves B(C + Delta~) = R~(C) at root level",
+    paper_ref="S5.2 (Delta~ defined by B(C + Delta~) = R~(C))",
     engines=("scalar", "batch"),
-    tolerance=TIGHT,
+    tolerance=GOLDEN,
 )
 def _p6(config: PaperConfig) -> CheckResult:
+    # from 1.2 L up (below it the retry load diverges); the extra points
+    # below 1.5 L are where the retrying gap is still resolvable
     load = config.load("poisson")
-    grid = tuple(c for c in _grid(config) if c >= 1.2 * load.mean)
-    model = RetryingModel(load, config.utility("adaptive"), alpha=config.alpha)
-    residual = max(
-        batch_vs_scalar(model, "best_effort", grid, TIGHT),
-        batch_vs_scalar(model, "reservation", grid, TIGHT),
+    grid = sorted(
+        {load.mean * x for x in (1.2, 1.3, 1.4)}
+        | {float(c) for c in _grid(config) if c >= 1.2 * load.mean}
+    )
+    residual = root_level_residual(
+        lambda: RetryingModel(load, config.utility("adaptive"), alpha=config.alpha),
+        grid,
+        GOLDEN,
     )
     return CheckResult(residual, f"poisson/adaptive on {len(grid)} capacities")
 
@@ -595,13 +612,9 @@ def _p7(config: PaperConfig) -> CheckResult:
 )
 def _p8(config: PaperConfig) -> CheckResult:
     grid = _grid(config)
-
-    def per_model(label, m):
-        batch = m.k_max_batch(np.asarray(grid)).astype(float)
-        scalar = np.array([float(m.k_max(c)) for c in grid])
-        return EXACT.residual(batch, scalar)
-
-    return _domain_worst(config, per_model)
+    return _fresh_domain_worst(
+        config, lambda make: batch_vs_scalar(make, "k_max", grid, EXACT)
+    )
 
 
 @REGISTRY.invariant(
@@ -614,17 +627,20 @@ def _p8(config: PaperConfig) -> CheckResult:
 def _p9(config: PaperConfig) -> CheckResult:
     grid = (0.5, 1.0, 2.0, 4.0, 8.0)
     cases = []
-    for label, model in (
-        ("rigid-exponential", RigidExponentialContinuum(1.0)),
-        ("adaptive-exponential", AdaptiveExponentialContinuum(config.ramp_a)),
-        ("rigid-algebraic", RigidAlgebraicContinuum(config.z)),
-        ("adaptive-algebraic", AdaptiveAlgebraicContinuum(config.z, config.ramp_a)),
+    for label, make in (
+        ("rigid-exponential", lambda: RigidExponentialContinuum(1.0)),
+        ("adaptive-exponential", lambda: AdaptiveExponentialContinuum(config.ramp_a)),
+        ("rigid-algebraic", lambda: RigidAlgebraicContinuum(config.z)),
+        (
+            "adaptive-algebraic",
+            lambda: AdaptiveAlgebraicContinuum(config.z, config.ramp_a),
+        ),
     ):
         caps = grid if "exponential" in label else tuple(1.0 + c for c in grid)
         residual = max(
-            batch_vs_scalar(model, "best_effort", caps, TIGHT),
-            batch_vs_scalar(model, "reservation", caps, TIGHT),
-            batch_vs_scalar(model, "performance_gap", caps, TIGHT),
+            batch_vs_scalar(make, "best_effort", caps, TIGHT),
+            batch_vs_scalar(make, "reservation", caps, TIGHT),
+            batch_vs_scalar(make, "performance_gap", caps, TIGHT),
         )
         cases.append((label, residual))
     residual, where = worst_over_domain(cases)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.experiments.params import PaperConfig
 from repro.models import VariableLoadModel, erlang_b
+from repro.models.engine import CapacityEngine
 from repro.simulation import (
     EnsembleSimulator,
     Link,
@@ -72,24 +73,47 @@ def worst_over_domain(
 
 
 def batch_vs_scalar(
-    model,
+    make_model: Callable[[], CapacityEngine],
     method: str,
     grid: Sequence[float],
     policy: TolerancePolicy,
-    *,
-    batch_method: str = "",
 ) -> float:
     """Residual between ``<method>_batch(grid)`` and the scalar loop.
 
-    The batch kernels are the *candidate* and the scalar path the
-    *reference*: they were written later, against the scalar ground
-    truth, and the golden-figures gate pins the scalar path.
+    Each side runs on its own fresh ``make_model()``, so neither can
+    read back what the other left in a per-capacity cache.  The batch
+    kernels are the *candidate* and the scalar path the *reference*:
+    they were written later, against the scalar ground truth, and the
+    golden-figures gate pins the scalar path.
     """
-    scalar_fn = getattr(model, method)
-    batch_fn = getattr(model, batch_method or f"{method}_batch")
+    scalar_fn = getattr(make_model(), method)
+    batch_fn = getattr(make_model(), f"{method}_batch")
     reference = np.asarray([scalar_fn(x) for x in grid], dtype=float)
     candidate = np.asarray(batch_fn(np.asarray(grid, dtype=float)), dtype=float)
     return policy.residual(candidate, reference)
+
+
+def root_level_residual(
+    make_model: Callable[[], CapacityEngine],
+    grid: Sequence[float],
+    policy: TolerancePolicy,
+) -> float:
+    """Residual of ``B(C + Delta) = R(C)`` for the batch bandwidth gap.
+
+    ``Delta`` comes from ``bandwidth_gap_batch`` on one fresh engine;
+    ``B`` and ``R`` are re-evaluated through the scalar path of another,
+    so a fault in the batch ``B`` kernel the inversion ran on shows up
+    as a missed level.  ``Delta >= 0`` is the smallest shift reaching
+    ``R(C)``, so where ``R(C) <= B(C)`` the level to hit is ``B(C)``.
+    """
+    caps = np.asarray(grid, dtype=float)
+    gaps = make_model().bandwidth_gap_batch(caps)
+    reference = make_model()
+    achieved = np.array([reference.best_effort(c + d) for c, d in zip(caps, gaps)])
+    levels = np.array(
+        [max(reference.reservation(c), reference.best_effort(c)) for c in caps]
+    )
+    return policy.residual(achieved, levels)
 
 
 def pointwise_vs_reference(

@@ -180,19 +180,6 @@ class TestSweep:
             assert out["reservation"][i] == pytest.approx(m.reservation(c))
             assert out["bandwidth_gap"][i] == pytest.approx(m.bandwidth_gap(c))
 
-    def test_sweep_without_gaps(self, geometric_load, adaptive):
-        out = VariableLoadModel(geometric_load, adaptive).sweep(
-            [5.0, 10.0], include_gaps=False
-        )
-        assert "bandwidth_gap" not in out
-
-    def test_progress_callback_called(self, geometric_load, adaptive):
-        seen = []
-        VariableLoadModel(geometric_load, adaptive).sweep(
-            [5.0, 10.0], include_gaps=False, progress=lambda i, n: seen.append((i, n))
-        )
-        assert seen == [(1, 2), (2, 2)]
-
 
 class TestMarginals:
     def test_best_effort_marginal_positive(self, geometric_load, adaptive):
