@@ -19,7 +19,7 @@ The analytic models memoise per-capacity totals (``V_B(C)``,
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable
+from typing import Hashable, Optional
 
 #: Decimals float keys are rounded to — matches the root finders'
 #: absolute x-tolerance (``repro.numerics.solvers.XTOL == 1e-12``).
@@ -42,6 +42,8 @@ class BoundedCache:
         Float keys are rounded to this many decimals before lookup and
         store, so keys equal to within the matching solver tolerance
         collapse to one entry.  Non-float keys pass through unchanged.
+        ``None`` keeps float keys exact (for step functions of the key,
+        where two nearby floats may straddle a jump).
     """
 
     __slots__ = ("_data", "_maxsize", "_decimals")
@@ -50,17 +52,17 @@ class BoundedCache:
         self,
         maxsize: int = DEFAULT_MAXSIZE,
         *,
-        round_decimals: int = ROUND_DECIMALS,
+        round_decimals: Optional[int] = ROUND_DECIMALS,
     ):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
         self._data: OrderedDict = OrderedDict()
         self._maxsize = int(maxsize)
-        self._decimals = int(round_decimals)
+        self._decimals = None if round_decimals is None else int(round_decimals)
 
     def canonical_key(self, key: Hashable) -> Hashable:
         """The stored form of ``key`` (floats rounded to tolerance)."""
-        if isinstance(key, float):
+        if self._decimals is not None and isinstance(key, float):
             return round(key, self._decimals)
         return key
 

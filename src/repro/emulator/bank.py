@@ -13,7 +13,9 @@ targets*: when the service receives a query a surface refuses
 (out-of-domain, or a quantity/load pair that never certified), it
 evaluates one of these through the PR-2 content-addressed result
 cache, addressed by ``dataclasses.replace(config, capacities=...)`` so
-repeat misses on the same grid are disk hits.
+repeat misses on the same grid are disk hits.  The engines behind them
+live for the whole process (:func:`exact_engine`), so one engine and
+its per-capacity caches serve every grid asked of it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -28,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
+from repro.caching import BoundedCache
 from repro.errors import CertificationError, OutOfDomainError
 from repro.experiments.params import DEFAULT_CONFIG, PaperConfig
 from repro.ioutils import atomic_write_text
@@ -92,14 +96,42 @@ BUDGET_2D = ErrorBudget(atol=5e-4)
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _variable_model(config: PaperConfig, load: str, utility: str) -> VariableLoadModel:
-    return VariableLoadModel(config.load(load), config.utility(utility))
+#: Exact engines kept alive across queries.  One engine serves every
+#: grid of one (config, load, utility): a service needs 6 per mean
+#: load, and ``fit_bank(include_2d=True)`` revisits 57.
+ENGINE_MEMO_MAXSIZE = 64
+
+_ENGINES = BoundedCache(ENGINE_MEMO_MAXSIZE)
+_ENGINES_GUARD = threading.Lock()
 
 
-@lru_cache(maxsize=64)
-def _welfare_model(config: PaperConfig, load: str, utility: str) -> WelfareModel:
-    return WelfareModel(_variable_model(config, load, utility))
+def exact_engine(
+    config: PaperConfig, load: str, utility: str
+) -> Tuple[WelfareModel, threading.RLock, bool]:
+    """The memoised exact engine: ``(engine, lock, built)``.
+
+    Engines are keyed by the config with ``capacities`` and ``prices``
+    blanked: those hold the query grid (see :func:`replace_axis`), while
+    every other field (``kbar``, ``kappa``, ``z``, ...) still separates
+    engines.  ``engine.model`` is the :class:`VariableLoadModel` behind
+    δ and Δ; the :class:`WelfareModel` itself answers γ.  Their
+    per-capacity caches are not thread-safe, so every use holds
+    ``lock``; ``built`` says whether this call had to build the engine.
+    """
+    key = (dataclasses.replace(config, capacities=(), prices=()), load, utility)
+    with _ENGINES_GUARD:
+        entry = _ENGINES.get(key)
+        if entry is not None:
+            return entry[0], entry[1], False
+        # built under the guard: two threads never build the same engine
+        entry = (
+            WelfareModel(
+                VariableLoadModel(config.load(load), config.utility(utility))
+            ),
+            threading.RLock(),
+        )
+        _ENGINES.put(key, entry)
+    return entry[0], entry[1], True
 
 
 def exact_values(
@@ -111,15 +143,17 @@ def exact_values(
 ) -> np.ndarray:
     """The exact engine's answer for any quantity over any grid."""
     arr = np.asarray(xs, dtype=float).ravel()
-    if quantity == "delta":
-        return _variable_model(config, load, utility).performance_gap_batch(arr)
-    if quantity == "Delta":
-        return _variable_model(config, load, utility).bandwidth_gap_batch(arr)
-    if quantity == "gamma":
-        return _welfare_model(config, load, utility).equalizing_ratio_batch(arr)
-    raise ValueError(
-        f"unknown quantity {quantity!r}; expected one of {sorted(QUANTITIES)}"
-    )
+    if quantity not in QUANTITIES:
+        raise ValueError(
+            f"unknown quantity {quantity!r}; expected one of {sorted(QUANTITIES)}"
+        )
+    engine, lock, _ = exact_engine(config, load, utility)
+    with lock:
+        if quantity == "delta":
+            return engine.model.performance_gap_batch(arr)
+        if quantity == "Delta":
+            return engine.model.bandwidth_gap_batch(arr)
+        return engine.equalizing_ratio_batch(arr)
 
 
 def exact_scalar(
@@ -132,15 +166,17 @@ def exact_scalar(
     so the comparison is honest about what a non-emulated service
     would pay per request.
     """
-    if quantity == "delta":
-        return _variable_model(config, load, utility).performance_gap(x)
-    if quantity == "Delta":
-        return _variable_model(config, load, utility).bandwidth_gap(x)
-    if quantity == "gamma":
-        return _welfare_model(config, load, utility).equalizing_ratio(x)
-    raise ValueError(
-        f"unknown quantity {quantity!r}; expected one of {sorted(QUANTITIES)}"
-    )
+    if quantity not in QUANTITIES:
+        raise ValueError(
+            f"unknown quantity {quantity!r}; expected one of {sorted(QUANTITIES)}"
+        )
+    engine, lock, _ = exact_engine(config, load, utility)
+    with lock:
+        if quantity == "delta":
+            return engine.model.performance_gap(x)
+        if quantity == "Delta":
+            return engine.model.bandwidth_gap(x)
+        return engine.equalizing_ratio(x)
 
 
 def exact_delta_series(config: PaperConfig, load: str, utility: str) -> dict:
@@ -411,6 +447,7 @@ __all__ = [
     "fit_bank",
     "default_bank",
     "check_bank",
+    "exact_engine",
     "exact_values",
     "exact_scalar",
     "exact_delta_series",

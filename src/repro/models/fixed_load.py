@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
+from repro.caching import DEFAULT_MAXSIZE, BoundedCache
 from repro.errors import ModelError
 from repro.numerics.optimize import argmax_int
 from repro.utility.base import UtilityFunction
@@ -96,7 +97,10 @@ class FixedLoadModel:
         self._utility = utility
         self._k_max_limit = k_max_limit
         self._k_max_override = k_max_override
-        self._k_max_cache: dict = {}
+        # LRU-bounded, since an engine may serve queries for the whole
+        # life of a process; keys stay exact floats because k_max is a
+        # step function of C, so no tolerance may merge two capacities
+        self._k_max_cache = BoundedCache(DEFAULT_MAXSIZE, round_decimals=None)
 
     @property
     def utility(self) -> UtilityFunction:
@@ -166,7 +170,7 @@ class FixedLoadModel:
                     "utility appears elastic (V(k) increasing) — admission "
                     "control has no finite optimum (paper Section 2)"
                 )
-        self._k_max_cache[key] = best
+        self._k_max_cache.put(key, best)
         return best
 
     # ------------------------------------------------------------------
@@ -291,7 +295,7 @@ class FixedLoadModel:
 
         result[idx] = best
         for j, i in enumerate(idx):
-            self._k_max_cache[float(caps[i])] = int(best[j])
+            self._k_max_cache.put(float(caps[i]), int(best[j]))
         return result
 
     def compare(self, offered_flows: int, capacity: float) -> FixedLoadComparison:

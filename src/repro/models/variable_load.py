@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro import obs
-from repro.caching import BoundedCache
+from repro.caching import ROUND_DECIMALS, BoundedCache
 from repro.errors import ConvergenceError
 from repro.loads.base import LoadDistribution
 from repro.models.engine import CapacityEngine
@@ -151,10 +151,11 @@ class VariableLoadModel(CapacityEngine):
         self._pk = np.empty(0)
         self._kpk = np.empty(0)
         # per-capacity totals: float keys rounded to the solver
-        # x-tolerance (so gap-solver probes hit) and LRU-bounded (so
-        # long sweeps cannot grow them without limit)
-        self._b_cache = BoundedCache()
-        self._r_cache = BoundedCache()
+        # x-tolerance (so gap-solver probes hit) unless pi jumps, and
+        # LRU-bounded (so long sweeps cannot grow them without limit)
+        decimals = None if utility.has_jump else ROUND_DECIMALS
+        self._b_cache = BoundedCache(round_decimals=decimals)
+        self._r_cache = BoundedCache(round_decimals=decimals)
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -60,9 +60,16 @@ def config_digest(config: Optional[PaperConfig]) -> str:
     """Canonical hash of a config (``None`` hashes as the default).
 
     Dataclass fields are serialised to sorted-key JSON; ``repr``-exact
-    float serialisation makes the digest stable across processes.
+    float serialisation makes the digest stable across processes.  The
+    fields are read shallowly (every one is a scalar or a flat tuple),
+    which serialises exactly as ``dataclasses.asdict`` would at a third
+    of its cost.
     """
-    payload = None if config is None else dataclasses.asdict(config)
+    payload = (
+        None
+        if config is None
+        else {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    )
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -94,14 +101,13 @@ def target_name(exp: Experiment) -> str:
 
 def cache_key(exp: Experiment, config: Optional[PaperConfig]) -> str:
     """The content address of one (experiment, config, code) triple."""
+    return _address(exp, config_digest(config))
+
+
+def _address(exp: Experiment, digest: str) -> str:
+    """:func:`cache_key` from an already computed config digest."""
     material = "\n".join(
-        [
-            CACHE_SCHEMA,
-            exp.exp_id,
-            target_name(exp),
-            config_digest(config),
-            code_fingerprint(),
-        ]
+        [CACHE_SCHEMA, exp.exp_id, target_name(exp), digest, code_fingerprint()]
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -176,13 +182,14 @@ def build_entry(
 ) -> dict:
     """The full, self-verifying cache entry for one computed result."""
     kind, payload = encode_result(result)
+    digest = config_digest(config)
     return {
         "schema": CACHE_SCHEMA,
         "exp_id": exp.exp_id,
         "function": target_name(exp),
-        "config_digest": config_digest(config),
+        "config_digest": digest,
         "code_fingerprint": code_fingerprint(),
-        "key": cache_key(exp, config),
+        "key": _address(exp, digest),
         "result_kind": kind,
         "result": payload,
         "payload_sha256": payload_sha256(payload),
@@ -206,11 +213,21 @@ class ResultCache:
         self.root = pathlib.Path(root)
 
     def entry_path(
-        self, exp: Experiment, config: Optional[PaperConfig]
+        self,
+        exp: Experiment,
+        config: Optional[PaperConfig],
+        *,
+        key: Optional[str] = None,
     ) -> pathlib.Path:
-        """Where this (experiment, config, code) triple lives on disk."""
+        """Where this (experiment, config, code) triple lives on disk.
+
+        ``key`` is the triple's :func:`cache_key` when the caller
+        already has it.
+        """
+        if key is None:
+            key = cache_key(exp, config)
         safe_id = exp.exp_id.replace(".", "_").replace("/", "_")
-        return self.root / safe_id / f"{cache_key(exp, config)[:32]}.json"
+        return self.root / safe_id / f"{key[:32]}.json"
 
     def load(
         self, exp: Experiment, config: Optional[PaperConfig]
@@ -222,14 +239,15 @@ class ResultCache:
         counted as ``runner.cache.corrupt``, deleted best-effort, and
         reported as a miss so the caller recomputes.
         """
-        path = self.entry_path(exp, config)
+        key = cache_key(exp, config)
+        path = self.entry_path(exp, config, key=key)
         try:
             text = path.read_text(encoding="utf-8")
         except (FileNotFoundError, OSError):
             _count("runner.cache.misses")
             obs.emit("cache.miss", id=exp.exp_id)
             return None
-        entry = self._validate(exp, config, text)
+        entry = self._validate(key, text)
         if entry is None:
             _count("runner.cache.corrupt")
             _count("runner.cache.misses")
@@ -243,9 +261,8 @@ class ResultCache:
         obs.emit("cache.hit", id=exp.exp_id)
         return entry
 
-    def _validate(
-        self, exp: Experiment, config: Optional[PaperConfig], text: str
-    ) -> Optional[dict]:
+    @staticmethod
+    def _validate(key: str, text: str) -> Optional[dict]:
         try:
             entry = json.loads(text)
         except ValueError:
@@ -254,7 +271,7 @@ class ResultCache:
             return None
         if entry.get("schema") != CACHE_SCHEMA:
             return None
-        if entry.get("key") != cache_key(exp, config):
+        if entry.get("key") != key:
             return None
         if entry.get("payload_sha256") != payload_sha256(entry.get("result")):
             return None
@@ -269,7 +286,9 @@ class ResultCache:
         always serialises to byte-identical JSON.
         """
         entry = build_entry(exp, config, result)
-        atomic_write_text(self.entry_path(exp, config), _canonical_json(entry))
+        atomic_write_text(
+            self.entry_path(exp, config, key=entry["key"]), _canonical_json(entry)
+        )
         _count("runner.cache.writes")
         obs.emit("cache.write", id=exp.exp_id)
         return entry

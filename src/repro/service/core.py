@@ -14,11 +14,15 @@ the same ladder:
 3. **Exact** — a cold miss runs the batch solver and stores the
    result for the next identical query.
 
-Per-triple locks serialise concurrent cold misses (a thundering herd
-of identical queries computes the solver answer once); distinct
-triples fall back concurrently.  Everything is metered through
-:mod:`repro.obs` when enabled: ``service.*`` counters, the cache's own
-hit/miss counters, and a journal event per fallback.
+Exact engines live for the whole process, one per (config without its
+axes, load, utility), so δ, Δ and γ on one load share one engine and
+its per-capacity caches.  Each engine's lock serialises the work on it
+(a thundering herd of identical queries computes the solver answer
+once); distinct engines fall back concurrently.  Everything is metered
+through :mod:`repro.obs` when enabled: ``service.*`` counters (with
+``service.fallback.engine_builds``/``engine_reuses`` for the engine
+memo), the cache's own hit/miss counters, and a journal event per
+fallback.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from repro.emulator.bank import (
     SERIES_TARGETS,
     SurfaceBank,
     default_bank,
+    exact_engine,
     replace_axis,
 )
-from repro.errors import OutOfDomainError, ReproError
+from repro.errors import ReproError
 from repro.experiments.params import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.registry import Experiment
 from repro.runner.cache import ResultCache, decode_result
@@ -53,9 +58,9 @@ UTILITIES: Tuple[str, ...] = ("rigid", "adaptive")
 #: extrapolating.
 ENGINE_HINTS: Tuple[str, ...] = ("meanfield",)
 
-#: Bounds on the per-service memo maps: fallback locks are keyed by
-#: (quantity, load, utility, kbar) and mean-field simulators by (load,
-#: kbar), so both sit far above a working set of a few kbar values.
+#: Bounds on the per-service memo maps: mean-field locks and
+#: simulators are both keyed by (load, kbar), so both sit far above a
+#: working set of a few kbar values.
 LOCKS_MAXSIZE = 1024
 MEANFIELD_SIMS_MAXSIZE = 64
 
@@ -394,7 +399,7 @@ class EmulatorService:
         return sim
 
     def _lock_for(self, key: str) -> threading.Lock:
-        """The per-key lock serialising cold work on ``key``.
+        """The per-key lock serialising a cold mean-field solve on ``key``.
 
         An evicted lock only costs a duplicate (identical) computation
         should its key come back while the old lock is still held.
@@ -421,7 +426,8 @@ class EmulatorService:
         digest target is the module-level ``exact_*_series`` function,
         and the config's axis is replaced by the query grid — so the
         cache address covers code version, config *and* the exact
-        points asked for.
+        points asked for.  The engine's lock is held from the cache
+        read to the cache write.
         """
         target, _ = SERIES_TARGETS[quantity]
         exp = Experiment(
@@ -443,7 +449,13 @@ class EmulatorService:
             utility=utility,
             points=int(xs.size),
         )
-        lock = self._lock_for(f"{exp.exp_id}/{cfg.kbar}")
+        _, lock, built = exact_engine(cfg, load, utility)
+        if obs.enabled():
+            obs.counter(
+                "service.fallback.engine_builds"
+                if built
+                else "service.fallback.engine_reuses"
+            ).inc()
         with lock:
             if self.cache is not None:
                 entry = self.cache.load(exp, cfg)

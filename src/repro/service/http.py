@@ -214,7 +214,10 @@ class ServiceServer:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not raw_length.isdigit():  # the head decoded as ASCII
+            raise _HttpError(400, "Content-Length must be a non-negative integer")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "body too large")
         body: Optional[dict] = None

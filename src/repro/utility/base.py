@@ -92,6 +92,12 @@ class UtilityFunction(abc.ABC):
     #: Human-readable short name, overridden per subclass.
     name: str = "utility"
 
+    #: Whether ``pi`` jumps somewhere (a rigid step).  Totals over such a
+    #: utility are step functions of capacity, so the models key their
+    #: per-capacity caches by exact floats: two capacities equal to
+    #: within a solver tolerance may still straddle a jump.
+    has_jump: bool = False
+
     @abc.abstractmethod
     def value(self, b: float) -> float:
         """Utility at bandwidth ``b`` (scalar, ``b >= 0``)."""

@@ -25,6 +25,7 @@ class RigidUtility(UtilityFunction):
     """
 
     name = "rigid"
+    has_jump = True
 
     def __init__(self, b_hat: float = 1.0):
         if b_hat <= 0.0:

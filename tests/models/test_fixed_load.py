@@ -1,5 +1,6 @@
 """Tests for the Section 2 fixed-load model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelError
@@ -59,6 +60,26 @@ class TestKMax:
     def test_cache_consistency(self, adaptive):
         m = FixedLoadModel(adaptive)
         assert m.k_max(50.0) == m.k_max(50.0)
+
+    def test_cache_stays_bounded_over_many_capacities(self, adaptive):
+        # an engine may live as long as the process serving it
+        m = FixedLoadModel(adaptive)
+        caps = np.linspace(1.0, 500.0, 10_000)
+        m.k_max_batch(caps)
+        for c in caps[::500]:
+            m.k_max(float(c) + 0.25)
+        assert len(m._k_max_cache) <= m._k_max_cache.maxsize < caps.size
+        # evicted capacities are recomputed, not answered wrongly
+        assert m.k_max(float(caps[0])) == m.k_max_batch(caps[:1])[0]
+
+    def test_cache_keys_are_exact_floats(self):
+        # k_max is a step function of C: the float just below a jump
+        # must not share an entry with the jump itself
+        m = FixedLoadModel(RigidUtility(1.0))
+        below = float(np.nextafter(3.0, 0.0))
+        assert m.k_max(3.0) == 3
+        assert m.k_max(below) == 2
+        assert list(m.k_max_batch([3.0, below])) == [3, 2]
 
     def test_hint_walkout_handles_offset_hints(self):
         # a ramp's analytic k_max is exact; perturb via a scaled variant

@@ -1,5 +1,6 @@
 """The content-addressed result cache: digests, round-trips, recovery."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -32,6 +33,15 @@ class TestDigests:
         assert config_digest(FAST_CONFIG) != config_digest(None)
         tweaked = PaperConfig(kbar=PaperConfig().kbar * 2)
         assert config_digest(tweaked) != config_digest(PaperConfig())
+
+    def test_digest_matches_an_asdict_hash(self):
+        def plain(config):
+            text = json.dumps(dataclasses.asdict(config), sort_keys=True)
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        listed = dataclasses.replace(FAST_CONFIG, capacities=[20.0, 30.0])
+        for config in (FAST_CONFIG, PaperConfig(), PaperConfig(kbar=100), listed):
+            assert config_digest(config) == plain(config)
 
     def test_code_fingerprint_covers_package_source(self):
         import repro
@@ -85,6 +95,27 @@ class TestEncodeDecode:
 
 
 class TestResultCache:
+    def test_one_address_per_load_and_per_store(self, tmp_path, monkeypatch):
+        exp = registry.get("T2")
+        want = cache_key(exp, FAST_CONFIG)
+        calls = []
+        real = cache_mod.config_digest
+
+        def counting(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(cache_mod, "config_digest", counting)
+        cache = ResultCache(tmp_path)
+        result = {"x": [1.0, 2.0], "value": [3.0, 4.0]}
+        assert cache.load(exp, FAST_CONFIG) is None
+        assert len(calls) == 1
+        entry = cache.store(exp, FAST_CONFIG, result)
+        assert len(calls) == 2
+        assert entry["key"] == want
+        assert cache.load(exp, FAST_CONFIG) is not None
+        assert len(calls) == 3
+
     def test_store_then_load(self, tmp_path):
         exp = registry.get("T2")
         cache = ResultCache(tmp_path)

@@ -151,6 +151,27 @@ class TestErrorMapping:
             )
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1_0"])
+    def test_bad_content_length_is_400_then_close(self, server, caplog, length):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                sock.sendall(
+                    b"POST /v1/point HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n{}"
+                )
+                reply = b""
+                while True:  # the server closes after its answer
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+            # one more round trip gives the server's loop time to log
+            with ServiceClient(*server.address) as other:
+                assert other.health()["ok"]
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in reply
+        assert [r.getMessage() for r in caplog.records] == []
+
 
 class TestConcurrency:
     def test_parallel_clients_hitting_the_fallback(self, server):
